@@ -19,11 +19,10 @@
 //!
 //! The full run additionally measures the n = 10⁸ regime (τ-leap only):
 //! the tabulated k-IGT protocol, and a wide-K count-coupled protocol
-//! (`RingDrift`, K = 64, sparse frequency deps) on both the incremental
-//! kernel-refresh path and the preserved full-rebuild reference path —
-//! the speedup the incremental `KernelTable` exists to deliver. It also
-//! times `popgame reproduce --full` (as a library call) on the
-//! work-stealing pool vs the sequential reference path.
+//! (`RingDrift`, K = 64, sparse frequency deps) on the incremental
+//! kernel-refresh path. It also times `popgame reproduce --full` (as a
+//! library call) on the work-stealing pool vs the sequential reference
+//! path.
 //!
 //! Build with `--features alloc-count` to add per-engine allocation
 //! counts (one measured chunk each) to the emitted rows; the committed
@@ -94,8 +93,8 @@ fn allocs_during(chunk: &mut impl FnMut() -> u64) -> Option<u64> {
 /// `(i, j)` law reads only `freq[i]` (declared via
 /// `KernelDeps::States([i])`), and the switch rate is low, so a leap
 /// changes few states and the incremental refresh recomputes only the
-/// rows touching them while the reference path rebuilds all K² cells —
-/// the O(K³)-vs-O(K⁴) regime the incremental `KernelTable` targets.
+/// rows touching them rather than all K² cells — the regime the
+/// incremental `KernelTable::refresh_at` targets.
 struct RingDrift {
     k: usize,
     rate: f64,
@@ -294,30 +293,25 @@ fn main() {
             chunk
         }));
     }
-    // Count-coupled wide-K protocol, incremental vs full-rebuild
-    // reference kernel refresh.
-    for (engine_name, reference) in [
-        ("batched-coupled-big", false),
-        ("batched-coupled-big-reference", true),
-    ] {
+    {
+        // Count-coupled wide-K protocol, incremental kernel refresh.
         let k = 64usize;
         let counts: Vec<u64> = (0..k as u64)
             .map(|i| big_n / k as u64 + u64::from(i < big_n % k as u64))
             .collect();
         let mut engine = BatchedEngine::from_counts(RingDrift { k, rate: 1e-4 }, counts)
             .expect("valid counts");
-        engine.set_reference_leap(reference);
         let batch = engine.suggested_batch();
         let chunk = big_n / 20;
         let mut rng = rng_from_seed(6);
-        rows.push(measure(engine_name, big_n, window, chunk, || {
+        rows.push(measure("batched-coupled-big", big_n, window, chunk, || {
             engine.run_batched(chunk, batch, &mut rng).expect("n >= 2");
             chunk
         }));
     }
     obs_log::info(
         "bench_batched",
-        "measured 3 tau-leap engines",
+        "measured 2 tau-leap engines",
         &[("n", Json::from(big_n))],
     );
 
@@ -364,16 +358,6 @@ fn main() {
     let headline_n = if quick { 100_000 } else { 1_000_000 };
     let speedup = ratio_at(headline_n).unwrap_or(f64::NAN);
 
-    // Headline ratio of the incremental kernel refresh: count-coupled
-    // τ-leap throughput over the preserved full-rebuild reference path.
-    let ips_of = |engine: &str| -> f64 {
-        rows.iter()
-            .find(|r| r.engine == engine)
-            .map_or(f64::NAN, |r| r.interactions_per_sec)
-    };
-    let coupled_speedup =
-        ips_of("batched-coupled-big") / ips_of("batched-coupled-big-reference");
-
     let doc = Json::obj([
         ("benchmark".to_string(), Json::from("batched-count-level-engine")),
         ("protocol".to_string(), Json::from("k-IGT (k = 4, K = 6 states)")),
@@ -385,10 +369,6 @@ fn main() {
         (
             format!("speedup_batched_vs_count_at_n{headline_n}"),
             Json::Num((speedup * 100.0).round() / 100.0),
-        ),
-        (
-            format!("coupled_incremental_vs_reference_at_n{big_n}"),
-            Json::Num((coupled_speedup * 100.0).round() / 100.0),
         ),
         (
             "report_harness".to_string(),

@@ -172,13 +172,13 @@ impl CountedPopulation {
     }
 
     /// Executes `batch_size` interactions through the batched engine
-    /// (multinomial τ-leap with a cached transition table; see
-    /// [`crate::batch`] for the exactness contract). Exact in law for
-    /// `batch_size = 1` and for randomized protocols (which fall back to
-    /// per-interaction stepping).
+    /// (multinomial τ-leap over a cached [`crate::batch::KernelTable`];
+    /// see [`crate::batch`] for the exactness contract). Exact in law for
+    /// `batch_size = 1` and for randomized protocols without a declared
+    /// kernel (which fall back to per-interaction stepping).
     ///
     /// For repeated batching, construct a [`crate::batch::BatchedEngine`]
-    /// once instead: it keeps the transition table, alias table, and
+    /// once instead: it keeps the kernel table, alias table, and
     /// scratch buffers alive across calls.
     ///
     /// # Errors

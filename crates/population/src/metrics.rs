@@ -96,14 +96,14 @@ pub fn exact_steps() -> &'static Counter {
     )
 }
 
-/// Full `KernelTable` builds: construction-time builds plus the
-/// reference path's per-change rebuilds.
+/// Full `KernelTable` builds, one per engine construction that tabulates
+/// its protocol (probed, declared or count-coupled).
 pub fn kernel_full_builds() -> &'static Counter {
     static CELL: OnceLock<Arc<Counter>> = OnceLock::new();
     handle(
         &CELL,
         "popgame_engine_kernel_full_builds_total",
-        "Full KernelTable builds (engine construction and the reference leap path).",
+        "Full KernelTable builds (one per engine construction that tabulates its protocol).",
     )
 }
 
@@ -113,7 +113,7 @@ pub fn kernel_refreshes() -> &'static Counter {
     handle(
         &CELL,
         "popgame_engine_kernel_refreshes_total",
-        "Incremental KernelTable refreshes on the default count-coupled path.",
+        "Incremental KernelTable refreshes on the count-coupled path.",
     )
 }
 
@@ -128,12 +128,12 @@ pub fn kernel_dirty_cells() -> &'static Counter {
 }
 
 /// Alias-table rebuilds: the per-state sampling alias plus the per-leap
-/// Walker tables over entry/pair weights.
+/// Walker tables over pair weights.
 pub fn alias_rebuilds() -> &'static Counter {
     static CELL: OnceLock<Arc<Counter>> = OnceLock::new();
     handle(
         &CELL,
         "popgame_engine_alias_rebuilds_total",
-        "Alias-table rebuilds (state alias and per-leap Walker entry/pair tables).",
+        "Alias-table rebuilds (state alias and per-leap Walker pair tables).",
     )
 }

@@ -34,9 +34,8 @@ pub enum KernelDeps {
 ///
 /// Protocols where *both* agents may update are first-class: every engine
 /// in this crate applies the returned `(initiator', responder')` pair in
-/// full, [`crate::batch::TransitionTable`] tabulates both components, and
-/// [`crate::batch::KernelTable`] leaps joint outcome laws over ordered
-/// pairs. A two-way protocol must (a) return `false` from
+/// full, and [`crate::batch::KernelTable`] tabulates joint outcome laws
+/// over ordered pairs, both components at once. A two-way protocol must (a) return `false` from
 /// [`is_one_way`](Protocol::is_one_way) and (b) keep its outcome a
 /// function of the *ordered* pair — the scheduler's pair law
 /// `x_i (x_j − δ_ij)` is ordered, so symmetric rules must hold for both
@@ -120,8 +119,9 @@ pub trait EnumerableProtocol: Protocol {
     /// `((initiator'_idx, responder'_idx), probability)` entries summing
     /// to 1. Default `None`.
     ///
-    /// Deterministic protocols don't need this — engines tabulate them
-    /// directly. *Randomized* protocols
+    /// Deterministic protocols don't need this: [`crate::batch::KernelTable`]
+    /// probes their `interact` and stores each pair's one outcome with
+    /// mass 1. *Randomized* protocols
     /// ([`has_random_transitions`](Protocol::has_random_transitions) =
     /// `true`) that override it become τ-leapable on
     /// [`crate::batch::BatchedEngine`]: the engine freezes the per-pair
@@ -158,7 +158,7 @@ pub trait EnumerableProtocol: Protocol {
     ///    pointing at [`crate::batch::BatchedEngine`].
     ///
     /// [`crate::batch::BatchedEngine`] executes such protocols by
-    /// rebuilding a [`crate::batch::KernelTable`] from the current
+    /// refreshing a [`crate::batch::KernelTable`] at the current
     /// frequencies: after **every** count change under exact stepping, and
     /// once per leap (from the frozen counts) under τ-leaping — the same
     /// frozen-population idealization as the leap itself, so step and

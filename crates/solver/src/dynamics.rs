@@ -1002,11 +1002,11 @@ mod tests {
         assert_eq!(d.interact(1, 0, &mut rng), (1, 1));
         // Ties change nothing.
         assert_eq!(d.interact(0, 0, &mut rng), (0, 0));
-        // The batched engine tabulates both components.
-        use popgame_population::batch::TransitionTable;
-        let table = TransitionTable::build(&d).unwrap().expect("deterministic");
-        assert_eq!(table.apply(0, 1), (1, 1));
-        assert_eq!(table.apply(1, 0), (1, 1));
+        // The batched engine's kernel holds both components, with mass 1.
+        use popgame_population::batch::KernelTable;
+        let kernel = KernelTable::build(&d).unwrap().expect("deterministic");
+        assert_eq!(kernel.outcomes(0, 1), &[((1, 1), 1.0)]);
+        assert_eq!(kernel.outcomes(1, 0), &[((1, 1), 1.0)]);
         // All-defect is absorbing under two-way imitation on the PD.
         let mut engine = BatchedEngine::from_counts(d, vec![300, 300]).unwrap();
         let mut rng = rng_from_seed(5);
@@ -1226,9 +1226,17 @@ mod tests {
                 assert_eq!(rj as usize, j, "responder never changes");
             }
         }
-        // Deterministic rules keep using the transition table (no kernel).
+        // Deterministic rules tabulate one mass-1 outcome per cell.
         let br = GameDynamics::new(&rps(), DynamicsRule::BestResponse).unwrap();
-        assert!(KernelTable::build(&br).unwrap().is_none());
+        let table = KernelTable::build(&br)
+            .unwrap()
+            .expect("best response is tabulated");
+        for i in 0..3 {
+            for j in 0..3 {
+                let best = (u32::from(br.best_reply[j]), j as u32);
+                assert_eq!(table.outcomes(i, j), &[(best, 1.0)]);
+            }
+        }
     }
 
     /// Two-sample chi-square statistic over paired histograms.
@@ -1305,39 +1313,6 @@ mod tests {
         let d = GameDynamics::new(&hawk_dove(), DynamicsRule::PairwiseImitation).unwrap();
         let chi2 = step_vs_batch_chi_square(&d, &[6, 6], 40, 3, 4_000, 103);
         assert!(chi2 < 45.0, "chi-square {chi2}");
-    }
-
-    #[test]
-    fn pairwise_imitation_incremental_vs_reference_leap_chi_square() {
-        // The production leap (incremental `refresh_at` kernel updates +
-        // fused multinomial chains) against the pinned pre-optimization
-        // path (full rebuild every leap, unfused chains). Different
-        // samplers, one law — final-count histograms must stay
-        // chi-square-equivalent.
-        let d = GameDynamics::new(&hawk_dove(), DynamicsRule::PairwiseImitation).unwrap();
-        let counts = [6u64, 6];
-        let n: u64 = counts.iter().sum();
-        let (horizon, batch, reps) = (40u64, 3u64, 4_000u64);
-        let mut hist_fast = vec![0u64; n as usize + 1];
-        let mut hist_ref = vec![0u64; n as usize + 1];
-        for rep in 0..reps {
-            let mut engine =
-                BatchedEngine::from_counts(d.clone(), counts.to_vec()).unwrap();
-            let mut rng = stream_rng(211, rep);
-            engine.run_batched(horizon, batch, &mut rng).unwrap();
-            hist_fast[engine.counts()[0] as usize] += 1;
-
-            let mut engine =
-                BatchedEngine::from_counts(d.clone(), counts.to_vec()).unwrap();
-            engine.set_reference_leap(true);
-            let mut rng =
-                stream_rng(0x0BAD_5EED ^ rep.wrapping_mul(0x9E37_79B9), rep);
-            engine.run_batched(horizon, batch, &mut rng).unwrap();
-            hist_ref[engine.counts()[0] as usize] += 1;
-        }
-        let chi2 = two_sample_chi_square(&hist_fast, &hist_ref);
-        // 13 cells; 99.9% quantile of chi2(12) ~ 32.9, plus leap-bias room.
-        assert!(chi2 < 45.0, "chi-square {chi2}: {hist_fast:?} vs {hist_ref:?}");
     }
 
     #[test]

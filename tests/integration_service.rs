@@ -455,6 +455,17 @@ fn job_queue_overflow_and_cancellation() {
     let (status, _, body) = post(addr, "/jobs", slow);
     assert_eq!(status, 202, "{body}");
     let slow_id = Json::parse(&body).unwrap().get("job_id").unwrap().as_u64().unwrap();
+    // The depth-1 queue holds the slow job until the executor takes it, so
+    // wait for it to run before queueing the second one.
+    let deadline = Instant::now() + Duration::from_secs(10);
+    loop {
+        let doc = Json::parse(&get(addr, &format!("/jobs/{slow_id}")).2).unwrap();
+        if doc.get("status").unwrap().as_str() == Some("running") {
+            break;
+        }
+        assert!(Instant::now() < deadline, "slow job never started running");
+        std::thread::sleep(Duration::from_millis(2));
+    }
     // ...a second fills the depth-1 queue (vary the seed: distinct work)...
     let (status, _, body) = post(
         addr,
