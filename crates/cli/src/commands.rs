@@ -421,7 +421,7 @@ const BENCH_USAGE: &str = "usage: popgame bench [--quick] [--n N] [--interaction
 /// per-metric tolerance — or missing from the probe — fails the run
 /// with a nonzero exit. This is the CI perf gate.
 pub fn bench(args: &[String]) -> Result<(), CliError> {
-    let mut n: u64 = 1_000_000;
+    let mut n: Option<u64> = None;
     let mut interactions: Option<u64> = None;
     let mut seed: u64 = 7;
     let mut quick = false;
@@ -435,11 +435,8 @@ pub fn bench(args: &[String]) -> Result<(), CliError> {
                 println!("{BENCH_USAGE}");
                 return Ok(());
             }
-            "--quick" => {
-                n = 100_000;
-                quick = true;
-            }
-            "--n" => n = parse_u64("--n", &take_value(&mut it, "--n")?)?,
+            "--quick" => quick = true,
+            "--n" => n = Some(parse_u64("--n", &take_value(&mut it, "--n")?)?),
             "--interactions" => {
                 interactions = Some(parse_u64(
                     "--interactions",
@@ -458,6 +455,8 @@ pub fn bench(args: &[String]) -> Result<(), CliError> {
             other => return usage(format!("unknown flag {other}\n{BENCH_USAGE}")),
         }
     }
+    // The quick preset fills only what the flags left unset.
+    let n = n.unwrap_or(if quick { 100_000 } else { 1_000_000 });
     if n < 3 {
         return usage("--n must be at least 3 (three strategies)");
     }

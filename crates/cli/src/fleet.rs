@@ -1,115 +1,50 @@
-//! `popgame fleet` — a share-nothing multi-instance loadgen with
-//! consistent-hash routing.
+//! `popgame fleet` — the service load driver: share-nothing instances,
+//! consistent-hash routing, and every serving number in
+//! `BENCH_service.json`.
 //!
 //! The fleet spawns N independent `popgame serve` processes (ephemeral
-//! ports, no shared state), routes every request to an instance by
-//! consistent hash of its **canonical** cache key
-//! ([`popgame_service::ring::HashRing`]), and measures aggregate
-//! throughput and p99 latency through three phases:
+//! ports, no shared state) plus one standby, and measures throughput
+//! and p50/p99 latency through five phases:
 //!
-//! 1. **steady** — the warmed fleet at its base size; every request is
-//!    a cache hit on its owning instance.
-//! 2. **add-shard** — one instance joins. Only the keys on the new
+//! 1. **cached** — against the first instance, every client repeats one
+//!    warmed `/simulate` request; each reply must be byte-identical to
+//!    the cold one.
+//! 2. **uncached** — against the same instance, every request carries a
+//!    fresh seed, forcing a real batched-engine computation (n = 500,
+//!    one replica).
+//!
+//!    After each of these two phases the driver scrapes the instance's
+//!    `/metrics` and cross-checks the server's own counters against the
+//!    client tallies; the first scrape is the `server` block.
+//! 3. **steady** — requests are routed to an instance by consistent hash
+//!    of their **canonical** cache key
+//!    ([`popgame_service::ring::HashRing`]); the warmed base fleet
+//!    answers every one from cache.
+//! 4. **add-shard** — the standby joins. Only the keys on the new
 //!    node's arcs move (~`1/(N+1)` of the keyspace), so the hit rate
 //!    dips by about that much and recovers as the moved keys warm.
-//! 3. **remove-shard** — the joined instance leaves again. Moved keys
+//! 5. **remove-shard** — the joined instance leaves again. Moved keys
 //!    return to their original (still-warm) owners, so the hit rate
 //!    snaps back to 1 without recomputation.
 //!
-//! Every 200-response body is checked byte-for-byte against the
-//! instance-independent expected body (the determinism contract across
-//! processes). Results land in the `fleet` block of
-//! `BENCH_service.json` and as `popgame-fleet` rows in
-//! `BENCH_history.jsonl`.
+//! Every 200-response body of the ring phases is checked byte-for-byte
+//! against the instance-independent expected body (the determinism
+//! contract across processes). The first two phases land at the top of
+//! `BENCH_service.json`, the ring phases in its `fleet` block, and all
+//! of them as `popgame-fleet` rows in `BENCH_history.jsonl`.
 
 use crate::commands::{take_value, usage, CliError};
+use crate::load::{self, rate, run_phase, Client, Request};
+use popgame_obs::metrics::{parse_exposition, Sample};
 use popgame_obs::perf;
 use popgame_service::ring::{HashRing, DEFAULT_VNODES};
 use popgame_service::{PopgameService, ServiceConfig};
 use popgame_util::json::Json;
-use std::collections::HashMap;
-use std::io::{BufRead, BufReader, Read, Write};
-use std::net::TcpStream;
+use std::borrow::Cow;
+use std::io::{BufRead, BufReader};
 use std::path::Path;
 use std::process::{Child, Command, Stdio};
-use std::time::{Duration, Instant};
-
-/// A keep-alive HTTP/1.1 client for one `(thread, instance)` pair.
-struct Client {
-    addr: String,
-    stream: TcpStream,
-    reader: BufReader<TcpStream>,
-}
-
-impl Client {
-    fn connect(addr: &str) -> std::io::Result<Client> {
-        let stream = TcpStream::connect(addr)?;
-        stream.set_nodelay(true)?;
-        stream.set_read_timeout(Some(Duration::from_secs(10)))?;
-        let reader = BufReader::new(stream.try_clone()?);
-        Ok(Client {
-            addr: addr.to_string(),
-            stream,
-            reader,
-        })
-    }
-
-    /// One POST over the persistent connection; reconnects once on error.
-    fn post(&mut self, path: &str, body: &str) -> std::io::Result<(u16, bool, String)> {
-        match self.post_once(path, body) {
-            Ok(reply) => Ok(reply),
-            Err(_) => {
-                *self = Client::connect(&self.addr)?;
-                self.post_once(path, body)
-            }
-        }
-    }
-
-    fn post_once(&mut self, path: &str, body: &str) -> std::io::Result<(u16, bool, String)> {
-        let head = format!(
-            "POST {path} HTTP/1.1\r\ncontent-length: {}\r\n\r\n",
-            body.len()
-        );
-        self.stream.write_all(head.as_bytes())?;
-        self.stream.write_all(body.as_bytes())?;
-        self.stream.flush()?;
-        let mut status_line = String::new();
-        self.reader.read_line(&mut status_line)?;
-        let status: u16 = status_line
-            .split_whitespace()
-            .nth(1)
-            .and_then(|s| s.parse().ok())
-            .ok_or_else(|| {
-                std::io::Error::new(std::io::ErrorKind::InvalidData, "bad status line")
-            })?;
-        let mut content_length = 0usize;
-        let mut cache_hit = false;
-        loop {
-            let mut line = String::new();
-            if self.reader.read_line(&mut line)? == 0 {
-                return Err(std::io::Error::new(
-                    std::io::ErrorKind::UnexpectedEof,
-                    "truncated headers",
-                ));
-            }
-            let line = line.trim_end();
-            if line.is_empty() {
-                break;
-            }
-            let lower = line.to_ascii_lowercase();
-            if let Some(v) = lower.strip_prefix("content-length:") {
-                content_length = v.trim().parse().unwrap_or(0);
-            } else if let Some(v) = lower.strip_prefix("x-popgame-cache:") {
-                cache_hit = v.trim() == "hit";
-            }
-        }
-        let mut body = vec![0u8; content_length];
-        self.reader.read_exact(&mut body)?;
-        let body = String::from_utf8(body)
-            .map_err(|_| std::io::Error::new(std::io::ErrorKind::InvalidData, "non-utf8 body"))?;
-        Ok((status, cache_hit, body))
-    }
-}
+use std::time::Duration;
 
 /// One spawned `popgame serve` process and its bound address.
 struct Instance {
@@ -120,7 +55,7 @@ struct Instance {
 impl Instance {
     /// Spawns `popgame serve --addr 127.0.0.1:0 --allow-remote-shutdown`
     /// via the current executable and waits for the readiness line.
-    fn spawn() -> Result<Instance, String> {
+    fn spawn(http_workers: usize) -> Result<Instance, String> {
         let exe = std::env::current_exe().map_err(|e| format!("current_exe: {e}"))?;
         let mut child = Command::new(&exe)
             .args([
@@ -129,7 +64,7 @@ impl Instance {
                 "127.0.0.1:0",
                 "--allow-remote-shutdown",
                 "--http-workers",
-                "4",
+                &http_workers.to_string(),
             ])
             .stdout(Stdio::piped())
             .stderr(Stdio::null())
@@ -154,7 +89,7 @@ impl Instance {
     /// Graceful stop: `POST /shutdown`, then reap the process.
     fn shutdown(mut self) {
         if let Ok(mut client) = Client::connect(&self.addr) {
-            let _ = client.post("/shutdown", "");
+            let _ = client.send("POST", "/shutdown", "");
         }
         let _ = self.child.wait();
     }
@@ -188,134 +123,166 @@ fn workload(keys: usize) -> Vec<(String, String)> {
         .collect()
 }
 
-/// Per-thread phase tallies.
-#[derive(Default)]
-struct ThreadStats {
-    latencies_us: Vec<u64>,
-    requests: u64,
-    hits: u64,
-    errors: u64,
-    mismatches: u64,
+/// Warms every workload key through `ring`; the returned bodies, indexed
+/// like `work`, are the bytes every later reply must repeat.
+fn warm_ring(ring: &HashRing, work: &[(String, String)]) -> Result<Vec<String>, String> {
+    load::warm(work.iter().map(|(canonical, body)| {
+        (
+            ring.route(canonical).expect("non-empty ring"),
+            body.as_str(),
+        )
+    }))
 }
 
-/// Runs one timed phase: `clients` threads, each cycling through the
-/// workload with a thread-dependent stride, routing every request by
-/// `ring` and keeping one connection per instance. `expected[k]` (when
-/// present) is the byte-exact body every 200 for key `k` must carry.
-fn run_phase(
-    ring: &HashRing,
-    work: &[(String, String)],
-    expected: &HashMap<String, String>,
-    clients: usize,
-    window: Duration,
-) -> Vec<ThreadStats> {
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..clients)
-            .map(|t| {
-                scope.spawn(move || {
-                    let mut stats = ThreadStats::default();
-                    let mut connections: HashMap<String, Client> = HashMap::new();
-                    let start = Instant::now();
-                    // Coprime strides decorrelate the threads' key
-                    // sequences without shared state or randomness.
-                    let stride = 2 * t + 1;
-                    let mut index = t;
-                    while start.elapsed() < window {
-                        let (canonical, body) = &work[index % work.len()];
-                        index += stride;
-                        let Some(node) = ring.route(canonical) else {
-                            stats.errors += 1;
-                            continue;
-                        };
-                        let client = match connections.entry(node.to_string()) {
-                            std::collections::hash_map::Entry::Occupied(e) => e.into_mut(),
-                            std::collections::hash_map::Entry::Vacant(e) => {
-                                match Client::connect(node) {
-                                    Ok(client) => e.insert(client),
-                                    Err(_) => {
-                                        stats.errors += 1;
-                                        continue;
-                                    }
-                                }
-                            }
-                        };
-                        let sent = Instant::now();
-                        match client.post("/simulate", body) {
-                            Ok((200, hit, reply)) => {
-                                stats.latencies_us.push(sent.elapsed().as_micros() as u64);
-                                stats.requests += 1;
-                                stats.hits += u64::from(hit);
-                                if let Some(expect) = expected.get(canonical) {
-                                    if reply != *expect {
-                                        stats.mismatches += 1;
-                                    }
-                                }
-                            }
-                            _ => stats.errors += 1,
-                        }
-                    }
-                    stats
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("fleet client thread"))
-            .collect()
-    })
-}
-
-fn percentile(sorted: &[u64], q: f64) -> u64 {
-    if sorted.is_empty() {
-        return 0;
+/// The ring phases' request `index` of thread `t`: each thread cycles
+/// through the workload from key `t` with stride `2t + 1` (coprime
+/// strides decorrelate the threads without shared state or randomness)
+/// and routes by `ring`.
+fn ring_request<'a>(
+    ring: &'a HashRing,
+    work: &'a [(String, String)],
+    expected: &'a [String],
+) -> impl Fn(usize, u64) -> Request<'a> + Sync {
+    move |t, index| {
+        let t = t as u64;
+        let key = ((t + index * (2 * t + 1)) % work.len() as u64) as usize;
+        let (canonical, body) = &work[key];
+        (
+            ring.route(canonical).expect("non-empty ring"),
+            Cow::Borrowed(body.as_str()),
+            Some(expected[key].as_str()),
+        )
     }
-    let rank = ((sorted.len() - 1) as f64 * q).round() as usize;
-    sorted[rank.min(sorted.len() - 1)]
 }
 
-fn summarize(label: &str, instances: usize, stats: Vec<ThreadStats>, window: Duration) -> Json {
-    let mut latencies: Vec<u64> = stats.iter().flat_map(|s| s.latencies_us.clone()).collect();
-    latencies.sort_unstable();
-    let requests: u64 = stats.iter().map(|s| s.requests).sum();
-    let hits: u64 = stats.iter().map(|s| s.hits).sum();
-    let errors: u64 = stats.iter().map(|s| s.errors).sum();
-    let mismatches: u64 = stats.iter().map(|s| s.mismatches).sum();
-    let rps = requests as f64 / window.as_secs_f64();
-    Json::obj([
-        ("phase", Json::from(label)),
-        ("instances", Json::from(instances as u64)),
-        ("requests", Json::from(requests)),
-        ("requests_per_sec", Json::from((rps * 10.0).round() / 10.0)),
-        ("p50_us", Json::from(percentile(&latencies, 0.50))),
-        ("p99_us", Json::from(percentile(&latencies, 0.99))),
+/// The cached phase's one request, warmed once on the first instance.
+const CACHED_BODY: &str =
+    r#"{"scenario":"hawk-dove","n":1000,"interactions":10000,"replicas":2,"seed":1}"#;
+
+/// The value of the series `name{labels}` in a scrape, if present.
+fn metric_value(samples: &[Sample], name: &str, labels: &[(&str, &str)]) -> Option<f64> {
+    samples
+        .iter()
+        .find(|s| s.name == name && labels.iter().all(|(k, v)| s.label(k) == Some(*v)))
+        .map(|s| s.value)
+}
+
+/// The upper bucket edge covering quantile `q` of a scraped histogram —
+/// the smallest `le` whose cumulative count reaches `q` of the total.
+fn histogram_quantile_upper(
+    samples: &[Sample],
+    name: &str,
+    labels: &[(&str, &str)],
+    q: f64,
+) -> Option<f64> {
+    let bucket_name = format!("{name}_bucket");
+    let mut buckets: Vec<(f64, f64)> = samples
+        .iter()
+        .filter(|s| s.name == bucket_name && labels.iter().all(|(k, v)| s.label(k) == Some(*v)))
+        .filter_map(|s| {
+            let le = s.label("le")?;
+            let edge = if le == "+Inf" {
+                f64::INFINITY
+            } else {
+                le.parse().ok()?
+            };
+            Some((edge, s.value))
+        })
+        .collect();
+    buckets.sort_by(|a, b| a.0.partial_cmp(&b.0).expect("edges are ordered"));
+    let total = buckets.last()?.1;
+    if total <= 0.0 {
+        return None;
+    }
+    let target = total * q;
+    buckets
+        .iter()
+        .find(|&&(_, cumulative)| cumulative >= target)
+        .map(|&(edge, _)| edge)
+}
+
+/// Scrapes `addr`'s `/metrics` and cross-checks the server's own
+/// counters against the clients' tallies so far (`requests` 200s, warm
+/// pass included, and `hits` cache hits). The server necessarily saw
+/// every 200 the clients counted, and its cache-hit tally can only
+/// exceed theirs (retries). Returns the `server` block.
+fn cross_check(addr: &str, requests: u64, hits: u64) -> Result<Json, CliError> {
+    let failed = |what: String| CliError::Runtime(format!("metrics cross-check on {addr}: {what}"));
+    let (status, _, scrape) = Client::connect(addr)
+        .and_then(|mut client| client.send("GET", "/metrics", ""))
+        .map_err(|e| failed(format!("scraping /metrics: {e}")))?;
+    if status != 200 {
+        return Err(failed(format!("/metrics answered {status}")));
+    }
+    let samples = parse_exposition(&scrape).map_err(failed)?;
+    let simulate = [("endpoint", "simulate")];
+    let server_requests =
+        metric_value(&samples, "popgame_http_requests_total", &simulate).unwrap_or(0.0);
+    let server_hits = metric_value(&samples, "popgame_cache_hits_total", &[]).unwrap_or(0.0);
+    let server_misses = metric_value(&samples, "popgame_cache_misses_total", &[]).unwrap_or(0.0);
+    let server_p99_upper_us = histogram_quantile_upper(
+        &samples,
+        "popgame_http_request_duration_us",
+        &simulate,
+        0.99,
+    )
+    .unwrap_or(0.0);
+    if server_requests < requests as f64 {
+        return Err(failed(format!(
+            "server saw {server_requests} /simulate requests, clients counted {requests}"
+        )));
+    }
+    if server_hits < hits as f64 {
+        return Err(failed(format!(
+            "server counted {server_hits} cache hits, clients counted {hits}"
+        )));
+    }
+    if server_p99_upper_us <= 0.0 {
+        return Err(failed(
+            "the /simulate latency histogram recorded nothing".to_string(),
+        ));
+    }
+    Ok(Json::obj([
+        ("simulate_requests", Json::from(server_requests)),
+        ("cache_hits", Json::from(server_hits)),
+        ("cache_misses", Json::from(server_misses)),
         (
             "cache_hit_rate",
-            Json::from(if requests > 0 {
-                (hits as f64 / requests as f64 * 1e4).round() / 1e4
-            } else {
-                0.0
-            }),
+            Json::from(rate(server_hits, server_hits + server_misses)),
         ),
-        ("errors", Json::from(errors)),
-        ("body_mismatches", Json::from(mismatches)),
-    ])
+        ("p99_upper_bound_us", Json::from(server_p99_upper_us)),
+        ("series_scraped", Json::from(samples.len())),
+    ]))
 }
 
 const FLEET_USAGE: &str = "usage: popgame fleet [--instances N] [--keys K] [--clients C] \
      [--window-ms MS] [--quick] [--out PATH] [--history PATH] [--no-history]";
 
-/// `popgame fleet` — spawn, route, rebalance, measure (see the module
-/// docs for the phase semantics).
+fn parse_flag<T: std::str::FromStr>(
+    it: &mut std::slice::Iter<'_, String>,
+    flag: &str,
+) -> Result<T, CliError>
+where
+    T::Err: std::fmt::Display,
+{
+    take_value(it, flag)?
+        .parse()
+        .map_err(|e| CliError::Usage(format!("{flag}: {e}")))
+}
+
+/// `popgame fleet` — spawn, load, route, rebalance, measure (see the
+/// module docs for the phase semantics).
 ///
 /// # Errors
 ///
 /// Usage errors on malformed flags; runtime errors when instances fail
-/// to spawn, warm, or answer.
+/// to spawn, warm, or answer, when the metrics cross-check fails, or
+/// when any reply is not byte-identical to its warmed bytes.
 pub fn fleet(args: &[String]) -> Result<(), CliError> {
-    let mut instances = 3usize;
-    let mut keys = 64usize;
-    let mut clients = 4usize;
-    let mut window = Duration::from_millis(1000);
+    let mut instances = None;
+    let mut keys = None;
+    let mut clients = None;
+    let mut window_ms = None;
     let mut quick = false;
     let mut out_path = "BENCH_service.json".to_string();
     let mut history_path: Option<String> = Some("BENCH_history.jsonl".to_string());
@@ -326,40 +293,22 @@ pub fn fleet(args: &[String]) -> Result<(), CliError> {
                 println!("{FLEET_USAGE}");
                 return Ok(());
             }
-            "--quick" => {
-                quick = true;
-                instances = 2;
-                keys = 16;
-                clients = 2;
-                window = Duration::from_millis(300);
-            }
-            "--instances" => {
-                instances = take_value(&mut it, "--instances")?
-                    .parse()
-                    .map_err(|e| CliError::Usage(format!("--instances: {e}")))?;
-            }
-            "--keys" => {
-                keys = take_value(&mut it, "--keys")?
-                    .parse()
-                    .map_err(|e| CliError::Usage(format!("--keys: {e}")))?;
-            }
-            "--clients" => {
-                clients = take_value(&mut it, "--clients")?
-                    .parse()
-                    .map_err(|e| CliError::Usage(format!("--clients: {e}")))?;
-            }
-            "--window-ms" => {
-                let ms: u64 = take_value(&mut it, "--window-ms")?
-                    .parse()
-                    .map_err(|e| CliError::Usage(format!("--window-ms: {e}")))?;
-                window = Duration::from_millis(ms);
-            }
+            "--quick" => quick = true,
+            "--instances" => instances = Some(parse_flag(&mut it, "--instances")?),
+            "--keys" => keys = Some(parse_flag(&mut it, "--keys")?),
+            "--clients" => clients = Some(parse_flag(&mut it, "--clients")?),
+            "--window-ms" => window_ms = Some(parse_flag(&mut it, "--window-ms")?),
             "--out" => out_path = take_value(&mut it, "--out")?,
             "--history" => history_path = Some(take_value(&mut it, "--history")?),
             "--no-history" => history_path = None,
             other => return usage(format!("unknown flag {other}\n{FLEET_USAGE}")),
         }
     }
+    // The quick preset fills only what the flags left unset.
+    let instances: usize = instances.unwrap_or(if quick { 2 } else { 3 });
+    let keys: usize = keys.unwrap_or(if quick { 16 } else { 64 });
+    let clients: usize = clients.unwrap_or(if quick { 2 } else { 4 });
+    let window = Duration::from_millis(window_ms.unwrap_or(if quick { 300 } else { 1000 }));
     if !(1..=16).contains(&instances) {
         return usage("--instances must be in 1..=16");
     }
@@ -368,10 +317,14 @@ pub fn fleet(args: &[String]) -> Result<(), CliError> {
     }
 
     // Boot the base fleet plus the instance the add phase will join.
+    // Every client holds one keep-alive connection per instance, and
+    // popgamed gives each connection a worker until it closes: two spare
+    // workers keep the scrape and the warm pass from queueing.
     let mut fleet: Vec<Instance> = Vec::new();
     for i in 0..=instances {
         fleet.push(
-            Instance::spawn().map_err(|e| CliError::Runtime(format!("instance {i}: {e}")))?,
+            Instance::spawn(clients + 2)
+                .map_err(|e| CliError::Runtime(format!("instance {i}: {e}")))?,
         );
     }
     let joiner = fleet.pop().expect("spawned instances+1");
@@ -383,78 +336,60 @@ pub fn fleet(args: &[String]) -> Result<(), CliError> {
         joiner.addr
     );
 
+    // Phases 1–2: one instance, one warmed key, then fresh seeds.
+    let single = base_ids[0].as_str();
+    let cold = load::warm([(single, CACHED_BODY)]).map_err(CliError::Runtime)?;
+    let cached = run_phase(clients, window, |_, _| {
+        (single, Cow::Borrowed(CACHED_BODY), Some(cold[0].as_str()))
+    });
+    let server = cross_check(single, 1 + cached.requests, cached.hits)?;
+    let uncached = run_phase(clients, window, |t, index| {
+        let seed = 1_000 + t as u64 * 1_000_000_000 + index;
+        let body = format!(
+            r#"{{"scenario":"rock-paper-scissors","n":500,"interactions":5000,"replicas":1,"seed":{seed}}}"#
+        );
+        (single, Cow::Owned(body), None)
+    });
+    cross_check(
+        single,
+        1 + cached.requests + uncached.requests,
+        cached.hits + uncached.hits,
+    )?;
+
+    // Phase 3: the warmed base fleet. The expected body is
+    // instance-independent — that's the determinism contract every
+    // later reply re-verifies.
     let work = workload(keys);
     let ring = HashRing::with_nodes(base_ids.iter().cloned(), DEFAULT_VNODES);
+    let expected = warm_ring(&ring, &work).map_err(CliError::Runtime)?;
+    let steady = run_phase(clients, window, ring_request(&ring, &work, &expected));
 
-    // Warm every key through the ring and pin the expected bytes. The
-    // expected body is instance-independent — that's the determinism
-    // contract this bench re-verifies on every subsequent response.
-    let mut expected: HashMap<String, String> = HashMap::new();
-    let mut warm_connections: HashMap<String, Client> = HashMap::new();
-    for (canonical, body) in &work {
-        let node = ring.route(canonical).expect("non-empty ring");
-        let client = match warm_connections.entry(node.to_string()) {
-            std::collections::hash_map::Entry::Occupied(e) => e.into_mut(),
-            std::collections::hash_map::Entry::Vacant(e) => e.insert(
-                Client::connect(node)
-                    .map_err(|e| CliError::Runtime(format!("connecting {node}: {e}")))?,
-            ),
-        };
-        let (status, _, reply) = client
-            .post("/simulate", body)
-            .map_err(|e| CliError::Runtime(format!("warming {node}: {e}")))?;
-        if status != 200 {
-            return Err(CliError::Runtime(format!(
-                "warm request got {status}: {reply}"
-            )));
-        }
-        expected.insert(canonical.clone(), reply);
-    }
-    drop(warm_connections);
-
-    // Phase 1: the warmed base fleet.
-    let steady = summarize(
-        "steady",
-        ring.len(),
-        run_phase(&ring, &work, &expected, clients, window),
-        window,
-    );
-
-    // Phase 2: one shard joins; only its arcs' keys miss (and re-warm).
+    // Phase 4: one shard joins; only its arcs' keys miss (and re-warm).
     let mut grown = ring.clone();
     grown.add(joiner.addr.clone());
     let moved_on_add = work
         .iter()
         .filter(|(canonical, _)| ring.route(canonical) != grown.route(canonical))
         .count();
-    let add_shard = summarize(
-        "add-shard",
-        grown.len(),
-        run_phase(&grown, &work, &expected, clients, window),
-        window,
-    );
+    let add_shard = run_phase(clients, window, ring_request(&grown, &work, &expected));
 
-    // Phase 3: the joiner leaves; keys return to their warm owners.
+    // Phase 5: the joiner leaves; keys return to their warm owners.
     let mut shrunk = grown.clone();
     shrunk.remove(&joiner.addr);
     joiner.shutdown();
-    let remove_shard = summarize(
-        "remove-shard",
-        shrunk.len(),
-        run_phase(&shrunk, &work, &expected, clients, window),
-        window,
-    );
+    let remove_shard = run_phase(clients, window, ring_request(&shrunk, &work, &expected));
 
     for instance in fleet {
         instance.shutdown();
     }
 
-    let field = |phase: &Json, name: &str| phase.get(name).and_then(Json::as_f64).unwrap_or(0.0);
-    let mismatches = [&steady, &add_shard, &remove_shard]
-        .iter()
-        .map(|p| p.get("body_mismatches").and_then(Json::as_u64).unwrap_or(u64::MAX))
-        .sum::<u64>();
-    let fleet_doc = Json::obj([
+    let ring_phases = [
+        ("steady", "steady", ring.len(), &steady),
+        ("add_shard", "add-shard", grown.len(), &add_shard),
+        ("remove_shard", "remove-shard", shrunk.len(), &remove_shard),
+    ];
+    let ring_mismatches: u64 = ring_phases.iter().map(|(.., s)| s.mismatches).sum();
+    let mut fleet_fields = vec![
         ("instances", Json::from(instances as u64)),
         ("keys", Json::from(keys as u64)),
         ("clients", Json::from(clients as u64)),
@@ -467,47 +402,47 @@ pub fn fleet(args: &[String]) -> Result<(), CliError> {
                 ("total", Json::from(keys as u64)),
             ]),
         ),
-        ("steady", steady.clone()),
-        ("add_shard", add_shard.clone()),
-        ("remove_shard", remove_shard.clone()),
-        ("byte_identical", Json::from(mismatches == 0)),
+    ];
+    for (key, label, size, summary) in ring_phases {
+        let head = vec![
+            ("phase", Json::from(label)),
+            ("instances", Json::from(size as u64)),
+        ];
+        fleet_fields.push((key, summary.to_json(head)));
+    }
+    fleet_fields.push(("byte_identical", Json::from(ring_mismatches == 0)));
+    let mismatches = cached.mismatches + ring_mismatches;
+    let doc = Json::obj([
+        ("benchmark", Json::from("popgamed-service")),
+        ("quick", Json::from(quick)),
+        ("clients", Json::from(clients as u64)),
+        ("window_ms", Json::from(window.as_millis() as u64)),
+        ("cached", cached.to_json(Vec::new())),
+        ("uncached", uncached.to_json(Vec::new())),
+        ("server", server),
+        (
+            "meets_acceptance",
+            Json::from(cached.rps >= 10_000.0 && uncached.rps >= 100.0 && mismatches == 0),
+        ),
+        ("fleet", Json::obj(fleet_fields)),
     ]);
-
-    // Merge into BENCH_service.json: the loadgen's single-instance rows
-    // stay, the fleet block is replaced.
-    let merged = match std::fs::read_to_string(&out_path) {
-        Ok(text) => match Json::parse(&text) {
-            Ok(existing) => {
-                let fields = existing.as_object().map(|f| f.to_vec()).unwrap_or_default();
-                let mut fields: Vec<(String, Json)> =
-                    fields.into_iter().filter(|(k, _)| k != "fleet").collect();
-                fields.push(("fleet".to_string(), fleet_doc.clone()));
-                Json::obj(fields)
-            }
-            Err(_) => Json::obj([("fleet", fleet_doc.clone())]),
-        },
-        Err(_) => Json::obj([("fleet", fleet_doc.clone())]),
-    };
-    std::fs::write(&out_path, merged.pretty())
+    let text = doc.pretty();
+    std::fs::write(&out_path, &text)
         .map_err(|e| CliError::Runtime(format!("writing {out_path}: {e}")))?;
-    println!("{}", fleet_doc.pretty());
+    println!("{text}");
 
     if let Some(history) = &history_path {
         let metrics = [
-            perf::Metric::new("fleet_steady_rps", field(&steady, "requests_per_sec"), "per_sec"),
-            perf::Metric::new("fleet_steady_p99_us", field(&steady, "p99_us"), "us"),
-            perf::Metric::new("fleet_add_rps", field(&add_shard, "requests_per_sec"), "per_sec"),
-            perf::Metric::new("fleet_add_p99_us", field(&add_shard, "p99_us"), "us"),
-            perf::Metric::new(
-                "fleet_remove_rps",
-                field(&remove_shard, "requests_per_sec"),
-                "per_sec",
-            ),
-            perf::Metric::new(
-                "fleet_remove_p99_us",
-                field(&remove_shard, "p99_us"),
-                "us",
-            ),
+            perf::Metric::new("cached_rps", cached.rps, "per_sec"),
+            perf::Metric::new("uncached_rps", uncached.rps, "per_sec"),
+            perf::Metric::new("cached_p99_us", cached.p99_us as f64, "us"),
+            perf::Metric::new("uncached_p99_us", uncached.p99_us as f64, "us"),
+            perf::Metric::new("fleet_steady_rps", steady.rps, "per_sec"),
+            perf::Metric::new("fleet_steady_p99_us", steady.p99_us as f64, "us"),
+            perf::Metric::new("fleet_add_rps", add_shard.rps, "per_sec"),
+            perf::Metric::new("fleet_add_p99_us", add_shard.p99_us as f64, "us"),
+            perf::Metric::new("fleet_remove_rps", remove_shard.rps, "per_sec"),
+            perf::Metric::new("fleet_remove_p99_us", remove_shard.p99_us as f64, "us"),
         ];
         let mode = if quick { "quick" } else { "full" };
         perf::append_history(Path::new(history), "popgame-fleet", mode, &metrics)
@@ -515,7 +450,7 @@ pub fn fleet(args: &[String]) -> Result<(), CliError> {
     }
     if mismatches > 0 {
         return Err(CliError::Runtime(format!(
-            "fleet responses were not byte-identical ({mismatches} mismatches)"
+            "responses were not byte-identical ({mismatches} mismatches)"
         )));
     }
     Ok(())
@@ -523,13 +458,13 @@ pub fn fleet(args: &[String]) -> Result<(), CliError> {
 
 /// The in-process fleet probe behind `popgame bench`'s
 /// `fleet_cached_rps` metric: two `PopgameService` instances in this
-/// process, a hash ring over their addresses, and a short
-/// single-threaded cached-hit loop. Cheap enough to run on every bench
-/// invocation, which is what lets `bench --check` gate on the metric.
+/// process, a hash ring over their addresses, and a short one-client
+/// cached-hit phase. Cheap enough to run on every bench invocation,
+/// which is what lets `bench --check` gate on the metric.
 ///
 /// # Errors
 ///
-/// A message when an instance fails to boot or a request fails.
+/// A message when an instance fails to boot or warm, or a request fails.
 pub fn in_process_fleet_probe() -> Result<Json, String> {
     let boot = || {
         PopgameService::start(ServiceConfig {
@@ -543,59 +478,26 @@ pub fn in_process_fleet_probe() -> Result<Json, String> {
     let ids = [a.local_addr().to_string(), b.local_addr().to_string()];
     let ring = HashRing::with_nodes(ids.iter().cloned(), DEFAULT_VNODES);
     let work = workload(16);
-    let mut connections: HashMap<String, Client> = HashMap::new();
-    let post = |connections: &mut HashMap<String, Client>,
-                    canonical: &str,
-                    body: &str|
-     -> Result<(u16, bool, String), String> {
-        let node = ring.route(canonical).expect("two nodes");
-        let client = match connections.entry(node.to_string()) {
-            std::collections::hash_map::Entry::Occupied(e) => e.into_mut(),
-            std::collections::hash_map::Entry::Vacant(e) => e.insert(
-                Client::connect(node).map_err(|e| format!("connecting {node}: {e}"))?,
-            ),
-        };
-        client
-            .post("/simulate", body)
-            .map_err(|e| format!("posting to {node}: {e}"))
-    };
-    for (canonical, body) in &work {
-        let (status, _, reply) = post(&mut connections, canonical, body)?;
-        if status != 200 {
-            return Err(format!("fleet probe warm request got {status}: {reply}"));
-        }
-    }
+    let expected = warm_ring(&ring, &work)?;
     let window = Duration::from_millis(200);
-    let start = Instant::now();
-    let mut requests = 0u64;
-    let mut hits = 0u64;
-    let mut index = 0usize;
-    while start.elapsed() < window {
-        let (canonical, body) = &work[index % work.len()];
-        index += 1;
-        let (status, hit, _) = post(&mut connections, canonical, body)?;
-        if status == 200 {
-            requests += 1;
-            hits += u64::from(hit);
-        }
-    }
-    drop(connections);
+    let phase = run_phase(1, window, ring_request(&ring, &work, &expected));
     a.shutdown();
     b.shutdown();
-    let rps = requests as f64 / window.as_secs_f64();
+    if phase.errors + phase.mismatches > 0 {
+        return Err(format!(
+            "fleet probe: {} failed requests, {} body mismatches",
+            phase.errors, phase.mismatches
+        ));
+    }
     Ok(Json::obj([
         ("instances", Json::from(2u64)),
         ("keys", Json::from(work.len() as u64)),
         ("window_ms", Json::from(window.as_millis() as u64)),
-        ("requests", Json::from(requests)),
-        ("cached_rps", Json::from((rps * 10.0).round() / 10.0)),
+        ("requests", Json::from(phase.requests)),
+        ("cached_rps", Json::from(phase.rps)),
         (
             "cache_hit_rate",
-            Json::from(if requests > 0 {
-                (hits as f64 / requests as f64 * 1e4).round() / 1e4
-            } else {
-                0.0
-            }),
+            Json::from(rate(phase.hits as f64, phase.requests as f64)),
         ),
     ]))
 }

@@ -17,3 +17,4 @@
 
 pub mod commands;
 pub mod fleet;
+mod load;

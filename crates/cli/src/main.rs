@@ -36,8 +36,9 @@ commands:
                                   (--trace TRACE.json adds a span timeline)
   serve [daemon flags]            boot the popgamed HTTP service
   bench [--quick] [--check]       throughput probe / perf-regression gate
-  fleet [--instances N] [--quick] multi-instance loadgen with hash-ring
-                                  routing and add/remove-shard rebalance
+  fleet [--instances N] [--quick] service load driver: cached/uncached
+                                  load, hash-ring routing, add/remove-shard
+                                  rebalance (writes BENCH_service.json)
 
 run `popgame <command> --help` for per-command flags.";
 

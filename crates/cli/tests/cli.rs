@@ -377,9 +377,13 @@ fn simulate_serves_the_new_dynamics_and_scenarios() {
 
 #[test]
 fn bench_probe_reports_throughput() {
-    let out = popgame(&["bench", "--n", "1000", "--interactions", "5000", "--no-history"]);
+    // `--quick` after `--n` must not override the explicit size.
+    let out = popgame(&[
+        "bench", "--n", "1000", "--interactions", "5000", "--no-history", "--quick",
+    ]);
     assert!(out.status.success(), "{}", stderr(&out));
     let text = stdout(&out);
+    assert!(text.contains("\"n\": 1000,"), "{text}");
     assert!(text.contains("\"interactions_per_sec\""), "{text}");
     assert!(text.contains("imitation"), "{text}");
     // The probe also times the analytics estimator battery.
@@ -685,8 +689,13 @@ fn fleet_quick_smoke_writes_the_bench_block() {
     let dir = temp_dir("fleet-smoke");
     std::fs::create_dir_all(&dir).unwrap();
     let out_path = dir.join("BENCH_service.json");
+    // Ten clients hold ten keep-alive connections per instance; the
+    // instances must be sized for them. `--quick` after `--clients`
+    // must not reset the explicit count.
     let out = popgame(&[
         "fleet",
+        "--clients",
+        "10",
         "--quick",
         "--no-history",
         "--out",
@@ -695,8 +704,21 @@ fn fleet_quick_smoke_writes_the_bench_block() {
     assert!(out.status.success(), "{}", stderr(&out));
     let doc = Json::parse(&std::fs::read_to_string(&out_path).unwrap())
         .expect("fleet out file parses");
+    // The single-instance phases: cached replies byte-identical to the
+    // cold one, and the server's own counters scraped and cross-checked.
+    for phase in ["cached", "uncached"] {
+        let block = doc.get(phase).unwrap_or_else(|| panic!("missing {phase}"));
+        assert!(block.get("requests").unwrap().as_u64().unwrap() > 0, "{phase}");
+        assert_eq!(block.get("errors").unwrap().as_u64(), Some(0), "{phase}");
+        assert!(block.get("p99_us").unwrap().as_u64().unwrap() < 1_000_000, "{phase}");
+    }
+    let cached = doc.get("cached").unwrap();
+    assert_eq!(cached.get("body_mismatches").unwrap().as_u64(), Some(0));
+    let server = doc.get("server").expect("server block present");
+    assert!(server.get("series_scraped").unwrap().as_u64().unwrap() >= 20);
     let fleet = doc.get("fleet").expect("fleet block present");
     assert_eq!(fleet.get("instances").unwrap().as_u64(), Some(2));
+    assert_eq!(fleet.get("clients").unwrap().as_u64(), Some(10));
     assert_eq!(
         fleet.get("byte_identical").unwrap().as_bool(),
         Some(true),
@@ -713,6 +735,7 @@ fn fleet_quick_smoke_writes_the_bench_block() {
             "{phase} rps"
         );
         assert_eq!(block.get("errors").unwrap().as_u64(), Some(0), "{phase}");
+        assert!(block.get("p99_us").unwrap().as_u64().unwrap() < 1_000_000, "{phase}");
     }
     let moved = fleet.get("moved_keys_on_add").expect("rebalance accounting");
     let total = moved.get("total").unwrap().as_u64().unwrap();
