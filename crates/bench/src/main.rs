@@ -1,7 +1,7 @@
 //! `reproduce` — regenerates every table/figure-equivalent of the paper.
 //!
 //! ```text
-//! reproduce all          # every experiment, E1..E16 (minutes)
+//! reproduce all          # every experiment, E1..E16 (~2.5 s on 2 cores)
 //! reproduce e7 e12       # a subset
 //! reproduce --list       # what exists
 //! ```
@@ -18,7 +18,10 @@ use std::process::ExitCode;
 const SEED: u64 = 20240717;
 
 const EXPERIMENTS: &[(&str, &str)] = &[
-    ("e1", "Theorem 2.4 — Ehrenfest stationary law is multinomial"),
+    (
+        "e1",
+        "Theorem 2.4 — Ehrenfest stationary law is multinomial",
+    ),
     ("e2", "Theorem 2.5 — mixing-time scaling in k, m, bias"),
     ("e3", "Proposition A.9 — diameter lower bound"),
     ("e4", "Proposition A.7 — absorption-time closed forms"),
@@ -26,14 +29,20 @@ const EXPERIMENTS: &[(&str, &str)] = &[
     ("e6", "Proposition 2.8 — average stationary generosity"),
     ("e7", "Theorem 2.9 — epsilon(k) = O(1/k) with decomposition"),
     ("e8", "Proposition 2.2 — payoff monotonicity regime"),
-    ("e9", "Appendix B — payoff closed forms vs linear vs Monte-Carlo"),
+    (
+        "e9",
+        "Appendix B — payoff closed forms vs linear vs Monte-Carlo",
+    ),
     ("e10", "Figure 1 — one-step increment/decrement rates"),
     ("e11", "Figure 2 — exact k=3, m=3 state graph"),
     ("e12", "Remark 2.6 — cutoff at half m log m"),
     ("e13", "Theorem 2.9 footnote 4 — failure for lambda near 1"),
     ("e14", "Def. 2.1 remark — action-observed variant"),
     ("e15", "Section 1.1.2 — noise motivates generosity"),
-    ("e16", "Scenario sweep — empirical distance to exact solver equilibria"),
+    (
+        "e16",
+        "Scenario sweep — empirical distance to exact solver equilibria",
+    ),
 ];
 
 fn run(id: &str) -> bool {

@@ -15,6 +15,7 @@
 //! `PopgameService`, and `reproduce` runs the deterministic report
 //! harness in `popgame_report`. Argument parsing is pure `std`.
 
+mod bench;
 pub mod commands;
 pub mod fleet;
 mod load;

@@ -8,7 +8,7 @@
 //! popgame analytics --scenario stag-hunt --n 1000  # + time-constant CIs
 //! popgame reproduce --quick              # REPORT.md + REPORT.json
 //! popgame serve --addr 127.0.0.1:8095    # boot popgamed in-process
-//! popgame bench --quick                  # engine throughput probe
+//! popgame bench --quick                  # gate probe + engine/solver tables
 //! ```
 //!
 //! Every subcommand drives the same code paths as the `popgamed` daemon:
@@ -35,7 +35,8 @@ commands:
   reproduce [--quick|--full] ...  regenerate REPORT.md + REPORT.json
                                   (--trace TRACE.json adds a span timeline)
   serve [daemon flags]            boot the popgamed HTTP service
-  bench [--quick] [--check]       throughput probe / perf-regression gate
+  bench [--quick] [--check]       throughput probe / perf-regression gate,
+                                  plus the engine and solver tables
   fleet [--instances N] [--quick] service load driver: cached/uncached
                                   load, hash-ring routing, add/remove-shard
                                   rebalance (writes BENCH_service.json)

@@ -388,6 +388,15 @@ fn bench_probe_reports_throughput() {
     assert!(text.contains("imitation"), "{text}");
     // The probe also times the analytics estimator battery.
     assert!(text.contains("\"batteries_per_sec\""), "{text}");
+    // And prints the engine and solver tables.
+    for key in [
+        "\"engines\"",
+        "\"solver\"",
+        "\"speedup_batched_vs_count_at_n100000\"",
+        "\"zero_sum_k16\"",
+    ] {
+        assert!(text.contains(key), "{key}: {text}");
+    }
 }
 
 #[test]
@@ -396,7 +405,7 @@ fn bench_history_appends_schema_versioned_rows() {
     std::fs::create_dir_all(&dir).unwrap();
     let history = dir.join("history.jsonl");
     let args = [
-        "bench", "--n", "1000", "--interactions", "5000",
+        "bench", "--quick", "--n", "1000", "--interactions", "5000",
         "--history", history.to_str().unwrap(),
     ];
     for _ in 0..2 {
@@ -409,8 +418,9 @@ fn bench_history_appends_schema_versioned_rows() {
         .map(|line| Json::parse(line).expect("history line parses"))
         .collect();
     // One row per metric per run: four dynamics rules, the analytics
-    // estimator battery, and the fleet probe — two runs appended.
-    assert_eq!(rows.len(), 12, "{text}");
+    // estimator battery and the fleet probe (the six gate metrics), ten
+    // engine rows and six solver rows — two runs appended.
+    assert_eq!(rows.len(), 2 * 22, "{text}");
     for row in &rows {
         assert_eq!(row.get("schema_version").unwrap().as_u64(), Some(1));
         assert_eq!(row.get("bench").unwrap().as_str(), Some("popgame-bench"));
@@ -423,9 +433,16 @@ fn bench_history_appends_schema_versioned_rows() {
             .filter(|r| r.get("metric").unwrap().as_str() == Some(name))
             .count()
     };
-    for metric in ["ips_best-response", "bench_analytics", "fleet_cached_rps"] {
-        assert_eq!(per_run(&rows[..6], metric), 1, "{metric}: {text}");
-        assert_eq!(per_run(&rows[6..], metric), 1, "{metric}: {text}");
+    for metric in [
+        "ips_best-response",
+        "bench_analytics",
+        "fleet_cached_rps",
+        "ips_batched_n100000",
+        "ips_batched-coupled-big_n1000000",
+        "enumerate_k4",
+    ] {
+        assert_eq!(per_run(&rows[..22], metric), 1, "{metric}: {text}");
+        assert_eq!(per_run(&rows[22..], metric), 1, "{metric}: {text}");
     }
     let _ = std::fs::remove_dir_all(dir);
 }
@@ -441,7 +458,7 @@ fn bench_check_gates_on_baselines() {
     };
     let probe = |baseline_path: &std::path::Path| {
         popgame(&[
-            "bench", "--n", "1000", "--interactions", "5000", "--no-history",
+            "bench", "--quick", "--n", "1000", "--interactions", "5000", "--no-history",
             "--check", "--baseline", baseline_path.to_str().unwrap(),
         ])
     };

@@ -1300,42 +1300,20 @@ fn filter_sections(doc: &Json, sections: &[String]) -> Json {
     )
 }
 
-/// Executes a canonical request string (the job executor's core, also
-/// used by the daemon's warmup). The canonical form parses with the same
-/// validators clients go through.
+/// Executes a canonical request string: the `/jobs` executor's core.
+/// The canonical form parses with the same validators clients go
+/// through. `progress` is a live sink (simulations report at replica
+/// granularity, solves as a single task) so `GET /jobs/{id}` can show
+/// completion mid-flight. Reproduce runs store their rendered
+/// `REPORT.json`/`REPORT.md` in `artifacts` when given (the daemon
+/// passes its result cache, so `GET /artifacts/{id}` serves the exact
+/// stored bytes — and a disk-backed cache persists them across
+/// restarts); simulate and solve ignore it.
 ///
 /// # Errors
 ///
 /// Propagates executor errors (including `"cancelled"`).
-pub fn execute_canonical(canonical: &str, cancel: &AtomicBool) -> Result<Json, String> {
-    execute_canonical_observed(canonical, cancel, &JobProgress::new())
-}
-
-/// [`execute_canonical`] with a live progress sink: simulations report
-/// at replica granularity, solves as a single task. The async job path
-/// uses this so `GET /jobs/{id}` can show completion mid-flight.
-///
-/// # Errors
-///
-/// As [`execute_canonical`].
-pub fn execute_canonical_observed(
-    canonical: &str,
-    cancel: &AtomicBool,
-    progress: &JobProgress,
-) -> Result<Json, String> {
-    execute_canonical_with_artifacts(canonical, cancel, progress, None)
-}
-
-/// [`execute_canonical_observed`] with an artifact sink: reproduce runs
-/// store their rendered `REPORT.json`/`REPORT.md` in `artifacts` (the
-/// daemon passes its result cache, so `GET /artifacts/{id}` serves the
-/// exact stored bytes — and a disk-backed cache persists them across
-/// restarts). Simulate and solve ignore the sink.
-///
-/// # Errors
-///
-/// As [`execute_canonical`].
-pub fn execute_canonical_with_artifacts(
+pub fn execute_canonical(
     canonical: &str,
     cancel: &AtomicBool,
     progress: &JobProgress,
@@ -1828,10 +1806,12 @@ mod tests {
         let request = SimulateRequest::from_json(&doc).unwrap();
         let never = AtomicBool::new(false);
         let direct = execute_simulate(&request, &never).unwrap();
-        let via_canonical = execute_canonical(&request.canonical(), &never).unwrap();
+        let progress = JobProgress::new();
+        let via_canonical =
+            execute_canonical(&request.canonical(), &never, &progress, None).unwrap();
         assert_eq!(direct.encode(), via_canonical.encode());
-        assert!(execute_canonical("{}", &never).is_err());
-        assert!(execute_canonical("not json", &never).is_err());
+        assert!(execute_canonical("{}", &never, &progress, None).is_err());
+        assert!(execute_canonical("not json", &never, &progress, None).is_err());
     }
 
     #[test]
@@ -2047,7 +2027,8 @@ mod tests {
         .unwrap();
         let canonical = job_canonical(&doc).unwrap();
         let never = AtomicBool::new(false);
-        let via_job = execute_canonical(&canonical, &never).unwrap();
+        let progress = JobProgress::new();
+        let via_job = execute_canonical(&canonical, &never, &progress, None).unwrap();
         let direct = execute_solve(&SolveRequest::from_json(&doc).unwrap()).unwrap();
         assert_eq!(via_job.encode(), direct.encode());
         // Bimatrix (with col) round-trips too.
@@ -2056,6 +2037,6 @@ mod tests {
         )
         .unwrap();
         let canonical = job_canonical(&doc).unwrap();
-        assert!(execute_canonical(&canonical, &never).is_ok());
+        assert!(execute_canonical(&canonical, &never, &progress, None).is_ok());
     }
 }

@@ -219,12 +219,8 @@ impl PopgameService {
                 progress.task_done(0);
                 return Ok(body);
             }
-            let doc = api::execute_canonical_with_artifacts(
-                canonical,
-                cancel,
-                progress,
-                Some(&executor_cache),
-            )?;
+            let doc =
+                api::execute_canonical(canonical, cancel, progress, Some(&executor_cache))?;
             let body = Arc::new(doc.encode());
             if !cancel.load(Ordering::Relaxed) {
                 executor_cache.insert(canonical.to_string(), Arc::clone(&body));
