@@ -1160,7 +1160,11 @@ fn serve_cached(
     }
     match execute() {
         Ok(doc) => {
-            let body = Arc::new(doc.encode());
+            // The body stays resident in the cache: drop the encoder's
+            // spare capacity before sharing it.
+            let mut text = doc.encode();
+            text.shrink_to_fit();
+            let body = Arc::new(text);
             state.cache.insert(canonical, Arc::clone(&body));
             Response::json_shared(200, body).with_header("x-popgame-cache", "miss")
         }

@@ -32,13 +32,16 @@
 //! restarted daemon re-serves warm responses byte-identically without
 //! recomputing. Corrupt or truncated files are treated as misses and
 //! deleted — the entry is simply recomputed. A byte budget bounds the
-//! directory; enforcement evicts oldest-mtime files first.
+//! directory: a running byte count, seeded by one scan at open, grows
+//! with every write, and only when it passes the budget does a scan
+//! evict oldest-mtime files down to 7/8 of the budget and re-seed the
+//! count from what is left.
 
 use popgame_obs::metrics::{registry, Counter};
 use std::collections::{HashMap, VecDeque};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Arc, Mutex, OnceLock, PoisonError, TryLockError};
 
 /// Process-global cache hit counter (`popgame_cache_hits_total`), shared
 /// with `/metrics`. The per-instance `AtomicU64`s below stay the source
@@ -106,10 +109,11 @@ pub const DEFAULT_DISK_BUDGET: u64 = 256 * 1024 * 1024;
 /// One shard: the map plus its insertion-order queue. The queue holds
 /// exactly the map's keys, oldest inserted at the front — updates of a
 /// resident key keep its original position (FIFO, not LRU: residency is
-/// a hint, correctness never depends on it).
+/// a hint, correctness never depends on it). Each key is stored once, in
+/// an exact-size `Arc<str>` that the map and the queue share.
 struct Shard {
-    map: HashMap<String, Arc<String>>,
-    order: VecDeque<String>,
+    map: HashMap<Arc<str>, Arc<String>>,
+    order: VecDeque<Arc<str>>,
 }
 
 /// The persistent tier: a directory of content-addressed entry files
@@ -121,6 +125,13 @@ struct DiskTier {
     /// same entry concurrently; each gets its own temp name and the
     /// renames race benignly — both carry identical bytes).
     temp_seq: AtomicU64,
+    /// Running byte count of the entry files: an upper bound between
+    /// scans (overwrites and corrupt-file deletes only make it too high),
+    /// re-seeded by every [`DiskTier::enforce_budget`] scan.
+    bytes: AtomicU64,
+    /// Serializes budget scans; a writer that finds a scan running skips
+    /// its own.
+    scan: Mutex<()>,
     hits: AtomicU64,
     writes: AtomicU64,
     evictions: AtomicU64,
@@ -161,17 +172,20 @@ impl DiskTier {
     /// Writes an entry atomically: temp file in the same directory, then
     /// `rename`. On any I/O failure the tier just skips the write — the
     /// memory tier still has the entry, and persistence is best-effort.
+    /// The budget scan runs only when the running count passes the
+    /// budget, and only on one thread at a time.
     fn write(&self, key: &str, body: &str) {
         let doc = popgame_util::json::Json::obj([
             ("key", popgame_util::json::Json::from(key)),
             ("body", popgame_util::json::Json::from(body)),
         ]);
+        let encoded = doc.encode();
         let temp = self.dir.join(format!(
             ".tmp-{}-{}",
             std::process::id(),
             self.temp_seq.fetch_add(1, Ordering::Relaxed)
         ));
-        if std::fs::write(&temp, doc.encode()).is_err() {
+        if std::fs::write(&temp, &encoded).is_err() {
             return;
         }
         if std::fs::rename(&temp, self.entry_path(key)).is_err() {
@@ -179,14 +193,29 @@ impl DiskTier {
             return;
         }
         self.writes.fetch_add(1, Ordering::Relaxed);
-        self.enforce_budget();
+        let len = encoded.len() as u64;
+        if self.bytes.fetch_add(len, Ordering::Relaxed) + len > self.byte_budget {
+            let _scan = match self.scan.try_lock() {
+                Ok(guard) => guard,
+                // A panicked scan leaves nothing half-done worth guarding.
+                Err(TryLockError::Poisoned(poisoned)) => poisoned.into_inner(),
+                Err(TryLockError::WouldBlock) => return,
+            };
+            self.enforce_budget();
+        }
     }
 
-    /// Deletes oldest-mtime entries until the directory fits the budget.
-    /// Freshly-written files carry the newest mtime, so enforcement can
-    /// never evict the entry that triggered it (unless it alone exceeds
-    /// the budget).
+    /// Scans the directory and, when its files total more than the
+    /// budget, deletes oldest-mtime entries down to the low-water mark
+    /// of `budget − budget/8`, so a directory that sits at its budget
+    /// does not rescan on every insert. Then re-seeds the running count
+    /// with the bytes left plus what writers added during the scan (if
+    /// the scan also saw their files the count is too high, which is
+    /// safe). Freshly-written files carry the newest mtime, so the entry
+    /// that triggered the scan is evicted only if it alone exceeds the
+    /// low-water mark.
     fn enforce_budget(&self) {
+        let before = self.bytes.load(Ordering::Relaxed);
         let Ok(entries) = std::fs::read_dir(&self.dir) else {
             return;
         };
@@ -202,19 +231,24 @@ impl DiskTier {
             })
             .collect();
         let mut total: u64 = files.iter().map(|(_, len, _)| len).sum();
-        if total <= self.byte_budget {
-            return;
-        }
-        files.sort_by_key(|(mtime, _, _)| *mtime);
-        for (_, len, path) in files {
-            if total <= self.byte_budget {
-                break;
+        if total > self.byte_budget {
+            let low_water = self.byte_budget - self.byte_budget / 8;
+            files.sort_by_key(|(mtime, _, _)| *mtime);
+            for (_, len, path) in files {
+                if total <= low_water {
+                    break;
+                }
+                if std::fs::remove_file(&path).is_ok() {
+                    total = total.saturating_sub(len);
+                    self.evictions.fetch_add(1, Ordering::Relaxed);
+                }
             }
-            if std::fs::remove_file(&path).is_ok() {
-                total = total.saturating_sub(len);
-                self.evictions.fetch_add(1, Ordering::Relaxed);
-            }
         }
+        // Only scans decrease the count and they hold `scan`, so
+        // `now >= before`: the difference is what writers added meanwhile.
+        let _ = self.bytes.fetch_update(Ordering::Relaxed, Ordering::Relaxed, |now| {
+            Some(total + now.saturating_sub(before))
+        });
     }
 }
 
@@ -268,6 +302,7 @@ impl ResultCache {
     /// (atomically) under `dir`, and memory misses read through it. The
     /// directory is created if absent; existing entries become servable
     /// immediately — this is how a restarted daemon recovers its warmth.
+    /// Opening scans the directory once, trimming it to the budget.
     ///
     /// # Errors
     ///
@@ -279,14 +314,20 @@ impl ResultCache {
     ) -> std::io::Result<Self> {
         let dir = dir.into();
         std::fs::create_dir_all(&dir)?;
-        self.disk = Some(DiskTier {
+        let disk = DiskTier {
             dir,
             byte_budget: byte_budget.max(1),
             temp_seq: AtomicU64::new(0),
+            bytes: AtomicU64::new(0),
+            scan: Mutex::new(()),
             hits: AtomicU64::new(0),
             writes: AtomicU64::new(0),
             evictions: AtomicU64::new(0),
-        });
+        };
+        // Seeds the running count, trimming a directory that is already
+        // over this budget (e.g. reopened with a smaller one).
+        disk.enforce_budget();
+        self.disk = Some(disk);
         Ok(self)
     }
 
@@ -301,7 +342,7 @@ impl ResultCache {
         let found = self
             .shard(key)
             .lock()
-            .expect("cache shard lock")
+            .unwrap_or_else(PoisonError::into_inner)
             .map
             .get(key)
             .cloned();
@@ -315,7 +356,7 @@ impl ResultCache {
             }) {
                 Some(body) => {
                     // Promote without re-writing the disk entry.
-                    self.insert_memory(key.to_string(), Arc::clone(&body));
+                    self.insert_memory(key, Arc::clone(&body));
                     Some(body)
                 }
                 None => None,
@@ -334,10 +375,15 @@ impl ResultCache {
         found
     }
 
-    /// The memory-tier insert: FIFO eviction when the shard is full.
-    fn insert_memory(&self, key: String, body: Arc<String>) {
-        let mut shard = self.shard(&key).lock().expect("cache shard lock");
-        if shard.map.len() >= self.shard_capacity && !shard.map.contains_key(&key) {
+    /// The memory-tier insert: FIFO eviction when the shard is full. An
+    /// update of a resident key replaces the body in place.
+    fn insert_memory(&self, key: &str, body: Arc<String>) {
+        let mut shard = self.shard(key).lock().unwrap_or_else(PoisonError::into_inner);
+        if let Some(slot) = shard.map.get_mut(key) {
+            *slot = body;
+            return;
+        }
+        if shard.map.len() >= self.shard_capacity {
             // Oldest-inserted goes first. The queue mirrors the map, so
             // the front always names a resident entry.
             if let Some(victim) = shard.order.pop_front() {
@@ -346,9 +392,9 @@ impl ResultCache {
                 global_evictions().inc();
             }
         }
-        if shard.map.insert(key.clone(), body).is_none() {
-            shard.order.push_back(key);
-        }
+        let key: Arc<str> = Arc::from(key);
+        shard.map.insert(Arc::clone(&key), body);
+        shard.order.push_back(key);
     }
 
     /// Stores a response body under its canonical key, evicting the
@@ -358,14 +404,14 @@ impl ResultCache {
         if let Some(disk) = &self.disk {
             disk.write(&key, &body);
         }
-        self.insert_memory(key, body);
+        self.insert_memory(&key, body);
     }
 
     /// Number of cached entries (sums all shards; memory tier only).
     pub fn len(&self) -> usize {
         self.shards
             .iter()
-            .map(|s| s.lock().expect("cache shard lock").map.len())
+            .map(|s| s.lock().unwrap_or_else(PoisonError::into_inner).map.len())
             .sum()
     }
 
@@ -423,6 +469,20 @@ mod tests {
         ));
         let _ = std::fs::remove_dir_all(&dir);
         dir
+    }
+
+    /// Total size of the entry files under `dir`.
+    fn json_bytes(dir: &Path) -> u64 {
+        std::fs::read_dir(dir)
+            .unwrap()
+            .flatten()
+            .filter(|e| e.path().extension().and_then(|x| x.to_str()) == Some("json"))
+            .map(|e| e.metadata().unwrap().len())
+            .sum()
+    }
+
+    fn running_count(cache: &ResultCache) -> u64 {
+        cache.disk.as_ref().unwrap().bytes.load(Ordering::Relaxed)
     }
 
     #[test]
@@ -600,6 +660,77 @@ mod tests {
         let disk = cache.disk.as_ref().unwrap();
         assert!(disk.read("budget-key-5").is_some(), "newest survives");
         assert!(disk.read("budget-key-0").is_none(), "oldest evicted");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn opening_over_a_smaller_budget_trims_oldest_first() {
+        let dir = temp_dir("reopen-trim");
+        let roomy = ResultCache::new(1)
+            .with_disk(&dir, DEFAULT_DISK_BUDGET)
+            .unwrap();
+        for i in 0..8 {
+            roomy.insert(format!("trim-key-{i}"), Arc::new("x".repeat(64)));
+            // Distinct mtimes even on coarse-granularity filesystems.
+            std::thread::sleep(std::time::Duration::from_millis(20));
+        }
+        drop(roomy);
+        let before = json_bytes(&dir);
+        assert!(before > 400, "eight entries overflow the small budget");
+        // Reopen with a budget the directory already exceeds: the trim
+        // happens at open, before any insert.
+        let tight = ResultCache::new(1).with_disk(&dir, 400).unwrap();
+        let after = json_bytes(&dir);
+        assert!(after <= 400, "open must trim to the budget, got {after}");
+        assert!(tight.disk_stats().2 > 0, "evictions counted");
+        assert_eq!(running_count(&tight), after);
+        let disk = tight.disk.as_ref().unwrap();
+        assert!(disk.read("trim-key-7").is_some(), "newest survives");
+        assert!(disk.read("trim-key-0").is_none(), "oldest evicted");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn running_count_matches_the_directory() {
+        let dir = temp_dir("running-count");
+        let cache = ResultCache::new(4)
+            .with_disk(&dir, DEFAULT_DISK_BUDGET)
+            .unwrap();
+        assert_eq!(running_count(&cache), 0);
+        for i in 0..25 {
+            cache.insert(format!("count-key-{i}"), Arc::new("y".repeat(i * 7)));
+        }
+        assert_eq!(cache.disk_stats().1, 25);
+        assert_eq!(running_count(&cache), json_bytes(&dir));
+        drop(cache);
+        let reopened = ResultCache::new(4)
+            .with_disk(&dir, DEFAULT_DISK_BUDGET)
+            .unwrap();
+        assert_eq!(running_count(&reopened), json_bytes(&dir));
+        assert_eq!(reopened.disk_stats().2, 0, "nothing over budget to evict");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn reinserting_a_resident_key_keeps_one_copy_everywhere() {
+        let dir = temp_dir("reinsert");
+        let cache = ResultCache::new(1)
+            .with_disk(&dir, DEFAULT_DISK_BUDGET)
+            .unwrap();
+        let key = "resident key";
+        cache.insert(key.to_string(), Arc::new("first".to_string()));
+        cache.insert(key.to_string(), Arc::new("second".to_string()));
+        let files = std::fs::read_dir(&dir).unwrap().flatten().count();
+        assert_eq!(files, 1, "one entry file, no temp leftovers");
+        {
+            let shard = cache.shards[0].lock().unwrap();
+            assert_eq!(shard.map.len(), 1);
+            assert_eq!(shard.order.len(), 1);
+            // The queue and the map share one key allocation.
+            let (map_key, _) = shard.map.get_key_value(key).unwrap();
+            assert!(Arc::ptr_eq(map_key, &shard.order[0]));
+        }
+        assert_eq!(cache.get(key).as_deref().map(String::as_str), Some("second"));
         let _ = std::fs::remove_dir_all(&dir);
     }
 }
