@@ -62,7 +62,7 @@ use rand::rngs::SmallRng;
 use std::collections::VecDeque;
 use std::num::NonZeroUsize;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{mpsc, Arc, Mutex, OnceLock};
+use std::sync::{mpsc, Arc, Mutex, OnceLock, PoisonError};
 use std::time::Instant;
 
 /// Process-wide worker-count override; `0` means "not set".
@@ -137,7 +137,7 @@ fn handle_table() -> &'static Mutex<Vec<WorkerHandles>> {
 
 /// Handles for workers `0..workers`, registering new indices on first use.
 fn worker_handles(workers: usize) -> Vec<WorkerHandles> {
-    let mut table = handle_table().lock().expect("worker handle table poisoned");
+    let mut table = handle_table().lock().unwrap_or_else(PoisonError::into_inner);
     while table.len() < workers {
         let worker = table.len().to_string();
         let labels: [(&str, &str); 1] = [("worker", worker.as_str())];
@@ -218,7 +218,7 @@ pub struct WorkerStats {
 /// `GET /metrics`; this accessor exists for in-process consumers
 /// (tests, the service's health endpoint, tooling).
 pub fn pool_snapshot() -> Vec<WorkerStats> {
-    let table = handle_table().lock().expect("worker handle table poisoned");
+    let table = handle_table().lock().unwrap_or_else(PoisonError::into_inner);
     table
         .iter()
         .enumerate()

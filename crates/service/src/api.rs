@@ -49,7 +49,7 @@ use popgame_solver::{enumerate_equilibria, solve_zero_sum, MatrixGame};
 use popgame_util::json::Json;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::mpsc::SyncSender;
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Arc, Mutex, OnceLock, PoisonError};
 use std::time::Instant;
 
 /// Population-size ceiling for `/simulate` (count-level memory is `O(K)`,
@@ -1501,7 +1501,7 @@ fn job_detail(state: &AppState, method: &str, id_text: &str) -> Response {
 }
 
 fn shutdown_endpoint(state: &AppState) -> Response {
-    let guard = state.shutdown_tx.lock().expect("shutdown tx lock");
+    let guard = state.shutdown_tx.lock().unwrap_or_else(PoisonError::into_inner);
     match guard.as_ref() {
         Some(tx) => {
             let _ = tx.try_send(()); // already-signalled is fine

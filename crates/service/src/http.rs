@@ -23,7 +23,7 @@ use std::io::{self, BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::mpsc::{self, TrySendError};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Arc, Mutex, OnceLock, PoisonError};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
@@ -243,7 +243,7 @@ impl HttpServer {
                 std::thread::spawn(move || loop {
                     // Hold the lock only for the pop, not while serving.
                     let stream = {
-                        let guard = rx.lock().expect("queue lock");
+                        let guard = rx.lock().unwrap_or_else(PoisonError::into_inner);
                         guard.recv()
                     };
                     match stream {

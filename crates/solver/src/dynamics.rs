@@ -60,7 +60,7 @@ use popgame_population::batch::BatchedEngine;
 use popgame_population::error::PopulationError;
 use popgame_population::protocol::{EnumerableProtocol, KernelDeps, Protocol};
 use rand::Rng;
-use std::sync::Mutex;
+use std::sync::{Mutex, PoisonError};
 
 /// `AC` fraction of the canonical k-IGT population.
 pub const KIGT_ALPHA: f64 = 0.3;
@@ -421,14 +421,10 @@ impl GameDynamics {
             if fa == 0.0 {
                 continue;
             }
+            // Zero-share and non-positive-gain terms add ±0.0 to a
+            // non-negative sum, so they change no bit of the result.
             for (b, &fb) in freq.iter().enumerate() {
-                if fb == 0.0 {
-                    continue;
-                }
-                let diff = self.payoff[j][a] - self.payoff[i][b];
-                if diff > 0.0 {
-                    expect += fa * fb * diff;
-                }
+                expect += fa * fb * (self.payoff[j][a] - self.payoff[i][b]).max(0.0);
             }
         }
         (expect / self.span).clamp(0.0, 1.0)
@@ -540,13 +536,14 @@ impl GameDynamics {
         samples: usize,
         f: impl FnOnce(&[f64]) -> T,
     ) -> T {
-        let mut memo = self.sampled_memo.lock().expect("memo lock");
+        let mut memo = self.sampled_memo.lock().unwrap_or_else(PoisonError::into_inner);
         let hit = matches!(memo.as_ref(), Some((cached, _)) if cached == freq);
         if !hit {
             let k = self.payoff.len();
             let (cached, rho) = memo.get_or_insert_with(|| (Vec::new(), vec![0.0; k]));
+            // The key is written after the law, so a panic mid-fill leaves
+            // an empty key that no later call matches.
             cached.clear();
-            cached.extend_from_slice(freq);
             if self.reference_laws {
                 let reference = self.sampled_br_law(freq, samples);
                 rho.clear();
@@ -554,6 +551,7 @@ impl GameDynamics {
             } else {
                 self.sampled_br_law_fast(freq, rho);
             }
+            cached.extend_from_slice(freq);
         }
         let (_, rho) = memo.as_ref().expect("memo filled above");
         f(rho)
@@ -570,7 +568,7 @@ impl GameDynamics {
     pub fn set_reference_laws(&mut self, reference: bool) {
         self.reference_laws = reference;
         // The memo may hold a law computed by the other path.
-        *self.sampled_memo.lock().expect("memo lock") = None;
+        *self.sampled_memo.lock().unwrap_or_else(PoisonError::into_inner) = None;
     }
 
     /// The k-IGT level walk: `AC`(0) and `AD`(1) are immutable; a GTFT
@@ -1522,5 +1520,82 @@ mod tests {
                 assert_eq!(br.pair_kernel_deps(i, j), KernelDeps::All);
             }
         }
+    }
+
+    #[test]
+    fn pairwise_imitation_law_matches_the_branchy_formula_bit_for_bit() {
+        // The formula before the branches were dropped: skip zero shares
+        // and non-positive payoff differences.
+        fn branchy(d: &GameDynamics, i: usize, j: usize, freq: &[f64]) -> f64 {
+            let mut expect = 0.0;
+            for (a, &fa) in freq.iter().enumerate() {
+                if fa == 0.0 {
+                    continue;
+                }
+                for (b, &fb) in freq.iter().enumerate() {
+                    if fb == 0.0 {
+                        continue;
+                    }
+                    let diff = d.payoff[j][a] - d.payoff[i][b];
+                    if diff > 0.0 {
+                        expect += fa * fb * diff;
+                    }
+                }
+            }
+            (expect / d.span).clamp(0.0, 1.0)
+        }
+        let mut rng = rng_from_seed(0xB175);
+        let mut checked = 0;
+        for scenario in crate::scenarios::registry() {
+            let Ok(d) = scenario.dynamics(DynamicsRule::PairwiseImitation) else {
+                continue; // asymmetric: no one-population dynamics
+            };
+            let k = scenario.game().k();
+            for point in 0..300 {
+                // Every third point has exact zero shares, the case the
+                // dropped `fb == 0.0` skip handled.
+                let mut freq: Vec<f64> = (0..k)
+                    .map(|s| {
+                        if point % 3 == 0 && s % 2 == 1 {
+                            0.0
+                        } else {
+                            rng.gen::<f64>()
+                        }
+                    })
+                    .collect();
+                let total: f64 = freq.iter().sum();
+                freq.iter_mut().for_each(|f| *f /= total);
+                for i in 0..k {
+                    for j in 0..k {
+                        let now = d.proportional_switch_prob(i, j, &freq);
+                        let then = branchy(&d, i, j, &freq);
+                        assert_eq!(
+                            now.to_bits(),
+                            then.to_bits(),
+                            "{} ({i},{j}) at {freq:?}",
+                            scenario.name()
+                        );
+                        checked += 1;
+                    }
+                }
+            }
+        }
+        assert!(checked > 10_000, "only {checked} cells checked");
+    }
+
+    #[test]
+    fn a_panic_inside_the_sampled_br_memo_does_not_poison_the_law() {
+        let d = GameDynamics::new(&rps(), DynamicsRule::SampledBestResponse { samples: 3 })
+            .unwrap();
+        let freq = [0.2, 0.5, 0.3];
+        let expected = d.pair_kernel_at(0, 1, &freq).unwrap();
+        let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            d.with_sampled_br(&freq, 3, |_| panic!("injected"))
+        }));
+        assert!(caught.is_err());
+        assert!(d.sampled_memo.is_poisoned());
+        assert_eq!(d.pair_kernel_at(0, 1, &freq).unwrap(), expected);
+        let law = d.pair_kernel_at(2, 0, &[0.6, 0.1, 0.3]).unwrap();
+        assert!((law.iter().map(|(_, p)| p).sum::<f64>() - 1.0).abs() < 1e-12);
     }
 }

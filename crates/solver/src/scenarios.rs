@@ -42,6 +42,7 @@ use crate::game::MatrixGame;
 use crate::nash::{enumerate_equilibria, symmetric_equilibria, Equilibrium};
 use popgame_util::rng::rng_from_seed;
 use rand::Rng;
+use std::sync::OnceLock;
 
 /// A named, parameterized game instance.
 #[derive(Debug, Clone, PartialEq)]
@@ -378,24 +379,34 @@ impl Scenario {
 /// The canonical registry: one instance of every named scenario, with the
 /// parameters used throughout the workspace's tests and experiments.
 pub fn registry() -> Vec<Scenario> {
-    vec![
-        Scenario::prisoners_dilemma(2.0, 1.0).expect("canonical parameters are valid"),
-        Scenario::hawk_dove(2.0, 4.0).expect("canonical parameters are valid"),
-        Scenario::rock_paper_scissors(1.0, 1.0).expect("canonical parameters are valid"),
-        Scenario::matching_pennies(),
-        Scenario::stag_hunt(4.0, 3.0).expect("canonical parameters are valid"),
-        Scenario::coordination(3).expect("canonical parameters are valid"),
-        Scenario::congestion(vec![1.0, 1.5, 2.5]).expect("canonical parameters are valid"),
-        Scenario::shapley_cycle(1.0, 2.0).expect("canonical parameters are valid"),
-        Scenario::random_symmetric(3, 2024).expect("canonical parameters are valid"),
-        Scenario::random_symmetric(5, 2025)
-            .expect("canonical parameters are valid")
-            .renamed("random-symmetric-5"),
-        Scenario::random_zero_sum(3, 2024).expect("canonical parameters are valid"),
-        Scenario::random_zero_sum(5, 2025)
-            .expect("canonical parameters are valid")
-            .renamed("random-zero-sum-5"),
-    ]
+    shared_registry().to_vec()
+}
+
+/// The registry, built once per process. Every scenario is deterministic
+/// (the random games are seeded), so one shared instance serves every
+/// caller; request validation reads it on each parse.
+fn shared_registry() -> &'static [Scenario] {
+    static REGISTRY: OnceLock<Vec<Scenario>> = OnceLock::new();
+    REGISTRY.get_or_init(|| {
+        vec![
+            Scenario::prisoners_dilemma(2.0, 1.0).expect("canonical parameters are valid"),
+            Scenario::hawk_dove(2.0, 4.0).expect("canonical parameters are valid"),
+            Scenario::rock_paper_scissors(1.0, 1.0).expect("canonical parameters are valid"),
+            Scenario::matching_pennies(),
+            Scenario::stag_hunt(4.0, 3.0).expect("canonical parameters are valid"),
+            Scenario::coordination(3).expect("canonical parameters are valid"),
+            Scenario::congestion(vec![1.0, 1.5, 2.5]).expect("canonical parameters are valid"),
+            Scenario::shapley_cycle(1.0, 2.0).expect("canonical parameters are valid"),
+            Scenario::random_symmetric(3, 2024).expect("canonical parameters are valid"),
+            Scenario::random_symmetric(5, 2025)
+                .expect("canonical parameters are valid")
+                .renamed("random-symmetric-5"),
+            Scenario::random_zero_sum(3, 2024).expect("canonical parameters are valid"),
+            Scenario::random_zero_sum(5, 2025)
+                .expect("canonical parameters are valid")
+                .renamed("random-zero-sum-5"),
+        ]
+    })
 }
 
 /// The registry as a JSON document — one object per scenario with its
@@ -403,7 +414,7 @@ pub fn registry() -> Vec<Scenario> {
 /// the `scenarios` CLI (`--list`) and `popgamed`'s `GET /scenarios`.
 pub fn registry_listing() -> popgame_util::json::Json {
     use popgame_util::json::Json;
-    Json::arr(registry().iter().map(|s| {
+    Json::arr(shared_registry().iter().map(|s| {
         Json::obj([
             ("name", Json::from(s.name())),
             ("k", Json::from(s.game().k())),
@@ -426,9 +437,10 @@ pub fn registry_listing() -> popgame_util::json::Json {
 /// Returns [`SolverError::UnknownScenario`] when the name is not in
 /// [`registry`].
 pub fn by_name(name: &str) -> Result<Scenario, SolverError> {
-    registry()
-        .into_iter()
+    shared_registry()
+        .iter()
         .find(|s| s.name() == name)
+        .cloned()
         .ok_or_else(|| SolverError::UnknownScenario { name: name.into() })
 }
 
