@@ -16,7 +16,7 @@ use popgame_util::histogram::IntHistogram;
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Arc, Mutex, OnceLock, PoisonError};
 use std::time::Instant;
 
 /// Number of latency buckets: finite upper edges `2^0 .. 2^26` µs
@@ -301,7 +301,7 @@ impl Registry {
         kind: Kind,
         make: impl FnOnce() -> Slot,
     ) -> Slot {
-        let mut families = self.families.lock().expect("metrics registry poisoned");
+        let mut families = self.families.lock().unwrap_or_else(PoisonError::into_inner);
         let family = families.entry(name.to_string()).or_insert_with(|| Family {
             kind,
             help,
@@ -363,7 +363,7 @@ impl Registry {
     /// Number of exposed series (histograms count one series per
     /// `_bucket` line plus `_sum` and `_count`).
     pub fn series_count(&self) -> usize {
-        let families = self.families.lock().expect("metrics registry poisoned");
+        let families = self.families.lock().unwrap_or_else(PoisonError::into_inner);
         families
             .values()
             .map(|f| {
@@ -383,7 +383,7 @@ impl Registry {
     /// Families and series render in sorted order, so output layout is
     /// deterministic (values, of course, are live).
     pub fn render(&self) -> String {
-        let families = self.families.lock().expect("metrics registry poisoned");
+        let families = self.families.lock().unwrap_or_else(PoisonError::into_inner);
         let mut out = String::new();
         for (name, family) in families.iter() {
             let _ = writeln!(out, "# HELP {name} {}", family.help);

@@ -48,7 +48,7 @@
 
 use popgame_util::json::Json;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Arc, Mutex, OnceLock, PoisonError};
 use std::time::Instant;
 
 /// Inline span-name capacity (bytes); longer names are truncated at a
@@ -299,7 +299,7 @@ pub fn is_enabled() -> bool {
 /// Forgets every recorded event (ring generations are reset). Callers
 /// must not race this with `drain`; recording threads are unaffected.
 pub fn clear() {
-    let registry = registry().lock().unwrap();
+    let registry = registry().lock().unwrap_or_else(PoisonError::into_inner);
     for buffer in registry.iter() {
         for slot in &buffer.slots {
             slot.seq.store(0, Ordering::Release);
@@ -393,7 +393,7 @@ impl Drop for Span {
 
 fn register_thread() -> Arc<ThreadBuffer> {
     let capacity = CAPACITY.load(Ordering::Relaxed) as usize;
-    let mut registry = registry().lock().unwrap();
+    let mut registry = registry().lock().unwrap_or_else(PoisonError::into_inner);
     // Reuse a ring whose owning thread has exited (the registry holds
     // the only reference): pool workers are short-lived, and without
     // reuse a long-running traced daemon would leak one ring per worker
@@ -498,7 +498,7 @@ pub struct TraceSnapshot {
 /// Snapshots every thread's ring. Safe to call while recording
 /// continues; in-flight writes are skipped, not torn.
 pub fn drain() -> TraceSnapshot {
-    let registry = registry().lock().unwrap();
+    let registry = registry().lock().unwrap_or_else(PoisonError::into_inner);
     let mut events = Vec::new();
     let mut dropped = 0;
     for buffer in registry.iter() {

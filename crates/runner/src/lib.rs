@@ -322,13 +322,13 @@ where
                     let mut stole = false;
                     let mut next = deques[me]
                         .lock()
-                        .expect("worker deque poisoned")
+                        .unwrap_or_else(PoisonError::into_inner)
                         .pop_front();
                     if next.is_none() {
                         for d in 1..workers {
                             match deques[(me + d) % workers]
                                 .lock()
-                                .expect("worker deque poisoned")
+                                .unwrap_or_else(PoisonError::into_inner)
                                 .pop_back()
                             {
                                 Some(index) => {

@@ -13,13 +13,19 @@
 //! timeout, and `Connection: close`. No chunked transfer, no TLS, no
 //! HTTP/2 — the service sits on loopback or behind a real proxy.
 //!
+//! Every reply (handler responses, 400/413 parse errors and the accept
+//! thread's 503) goes out through one function that sends the head and
+//! the body in a single vectored write: one syscall and, on the
+//! `TCP_NODELAY` socket, one segment for a small reply, with the body
+//! never copied into the head buffer.
+//!
 //! Graceful shutdown: raise the flag, nudge the accept loop with a
 //! loopback connection, drop the queue sender, and join every thread.
 //! In-flight requests complete; queued connections are served; nothing
 //! is torn down mid-response.
 
 use popgame_obs::metrics::{registry, Counter, Gauge, GaugeGuard};
-use std::io::{self, BufRead, BufReader, Read, Write};
+use std::io::{self, BufRead, BufReader, IoSlice, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::mpsc::{self, TrySendError};
@@ -127,7 +133,9 @@ pub struct Response {
     /// HTTP status code.
     pub status: u16,
     /// Body bytes (JSON in this service). `Arc`, so cache hits share one
-    /// allocation instead of copying the body per request.
+    /// allocation instead of copying the body per request; the writer
+    /// sends it straight from this allocation, in the same vectored
+    /// write as the head.
     pub body: Arc<String>,
     /// Extra headers beyond `Content-Type`/`Content-Length`/`Connection`.
     pub headers: Vec<(String, String)>,
@@ -548,8 +556,27 @@ fn write_response(w: &mut impl Write, response: &Response, keep_alive: bool) -> 
         head.push_str("\r\n");
     }
     head.push_str("\r\n");
-    w.write_all(head.as_bytes())?;
-    w.write_all(response.body.as_bytes())?;
+    // One vectored write for head and body: one syscall and, on the
+    // nodelay socket, one segment per reply, without copying the shared
+    // body into the head buffer. Short writes resume mid-slice.
+    let mut bufs = [
+        IoSlice::new(head.as_bytes()),
+        IoSlice::new(response.body.as_bytes()),
+    ];
+    let mut bufs = &mut bufs[..];
+    while !bufs.is_empty() {
+        match w.write_vectored(bufs) {
+            Ok(0) => {
+                return Err(io::Error::new(
+                    io::ErrorKind::WriteZero,
+                    "failed to write whole response",
+                ))
+            }
+            Ok(n) => IoSlice::advance_slices(&mut bufs, n),
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+            Err(e) => return Err(e),
+        }
+    }
     w.flush()
 }
 
@@ -620,24 +647,29 @@ mod tests {
             stream
                 .write_all(format!("GET /r{i} HTTP/1.1\r\n\r\n").as_bytes())
                 .unwrap();
-            // Read the response head, then exactly content-length bytes.
-            let mut content_length = 0usize;
-            loop {
-                let mut line = String::new();
-                reader.read_line(&mut line).unwrap();
-                let line = line.trim_end();
-                if line.is_empty() {
-                    break;
-                }
-                if let Some(v) = line.strip_prefix("content-length: ") {
-                    content_length = v.parse().unwrap();
-                }
-            }
-            let mut body = vec![0u8; content_length];
-            reader.read_exact(&mut body).unwrap();
-            let body = String::from_utf8(body).unwrap();
+            let body = String::from_utf8(read_body(&mut reader)).unwrap();
             assert!(body.contains(&format!("/r{i}")), "{body}");
         }
+    }
+
+    /// Reads one keep-alive response: the head, then exactly
+    /// `content-length` body bytes, which it returns.
+    fn read_body(reader: &mut BufReader<TcpStream>) -> Vec<u8> {
+        let mut content_length = 0usize;
+        loop {
+            let mut line = String::new();
+            reader.read_line(&mut line).unwrap();
+            let line = line.trim_end();
+            if line.is_empty() {
+                break;
+            }
+            if let Some(v) = line.strip_prefix("content-length: ") {
+                content_length = v.parse().unwrap();
+            }
+        }
+        let mut body = vec![0u8; content_length];
+        reader.read_exact(&mut body).unwrap();
+        body
     }
 
     #[test]
@@ -792,5 +824,124 @@ mod tests {
             let mut buf = [0u8; 1];
             matches!(s.read(&mut buf), Ok(0) | Err(_))
         });
+    }
+
+    /// A writer that takes at most 7 bytes per call and fails every
+    /// third call with `Interrupted`. It keeps the default
+    /// `write_vectored`, which writes from the first non-empty slice.
+    #[derive(Default)]
+    struct Trickle {
+        out: Vec<u8>,
+        calls: usize,
+    }
+
+    impl Trickle {
+        /// Bytes this call may take: 7, or `None` on every third call.
+        fn room(&mut self) -> Option<usize> {
+            self.calls += 1;
+            (!self.calls.is_multiple_of(3)).then_some(7)
+        }
+    }
+
+    impl Write for Trickle {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            let room = self.room().ok_or(io::ErrorKind::Interrupted)?;
+            let n = buf.len().min(room);
+            self.out.extend_from_slice(&buf[..n]);
+            Ok(n)
+        }
+
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    /// [`Trickle`] whose `write_vectored` gathers its 7 bytes across
+    /// slices, as `writev` does, so one call can straddle head and body.
+    #[derive(Default)]
+    struct Gather(Trickle);
+
+    impl Write for Gather {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            self.0.write(buf)
+        }
+
+        fn write_vectored(&mut self, bufs: &[IoSlice<'_>]) -> io::Result<usize> {
+            let mut room = self.0.room().ok_or(io::ErrorKind::Interrupted)?;
+            let mut n = 0;
+            for buf in bufs {
+                let k = buf.len().min(room);
+                self.0.out.extend_from_slice(&buf[..k]);
+                n += k;
+                room -= k;
+            }
+            Ok(n)
+        }
+
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn short_writes_reproduce_head_then_body_bytes() {
+        let body = "{\"scenario\":\"hawk-dove\",\"tv\":0.0125}";
+        let response = Response::json(200, body.to_string()).with_header("x-popgame-cache", "hit");
+        let expected = format!(
+            "HTTP/1.1 200 OK\r\ncontent-type: application/json\r\ncontent-length: {}\r\n\
+             connection: keep-alive\r\nx-popgame-cache: hit\r\n\r\n{body}",
+            body.len()
+        );
+        // The head is not a multiple of 7 bytes, so a gathering write
+        // straddles the head/body boundary.
+        assert!(!(expected.len() - body.len()).is_multiple_of(7));
+        let mut trickle = Trickle::default();
+        write_response(&mut trickle, &response, true).unwrap();
+        assert_eq!(String::from_utf8(trickle.out).unwrap(), expected);
+        let mut gather = Gather::default();
+        write_response(&mut gather, &response, true).unwrap();
+        assert_eq!(String::from_utf8(gather.0.out).unwrap(), expected);
+    }
+
+    #[test]
+    fn zero_length_write_is_an_error_not_a_spin() {
+        struct Stuck;
+        impl Write for Stuck {
+            fn write(&mut self, _: &[u8]) -> io::Result<usize> {
+                Ok(0)
+            }
+            fn flush(&mut self) -> io::Result<()> {
+                Ok(())
+            }
+        }
+        let err = write_response(&mut Stuck, &Response::json(200, "{}".into()), true).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::WriteZero);
+    }
+
+    #[test]
+    fn body_larger_than_send_buffer_arrives_whole_on_keep_alive() {
+        // 5 MiB: past the largest send buffer Linux grants by default
+        // (4 MiB), so the reply cannot leave in one buffer-full and the
+        // server's write waits on the client's reads mid-body.
+        let big: Arc<String> = Arc::new(
+            (0..5usize << 20)
+                .map(|i| char::from(b'a' + (i % 26) as u8))
+                .collect(),
+        );
+        let shared = Arc::clone(&big);
+        let handler: Handler = Arc::new(move |req: &Request| match req.path.as_str() {
+            "/big" => Response::json_shared(200, Arc::clone(&shared)),
+            _ => Response::json(200, "{\"ok\":true}".to_string()),
+        });
+        let server = HttpServer::bind(HttpConfig::default(), handler).expect("bind loopback");
+        let mut stream = TcpStream::connect(server.local_addr()).unwrap();
+        stream
+            .set_read_timeout(Some(Duration::from_secs(10)))
+            .unwrap();
+        let mut reader = BufReader::new(stream.try_clone().unwrap());
+        stream.write_all(b"GET /big HTTP/1.1\r\n\r\n").unwrap();
+        assert!(read_body(&mut reader) == big.as_bytes(), "big body differs");
+        stream.write_all(b"GET /small HTTP/1.1\r\n\r\n").unwrap();
+        assert_eq!(read_body(&mut reader), b"{\"ok\":true}");
     }
 }

@@ -24,7 +24,7 @@ use popgame_obs::trace::{self, Family};
 use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::mpsc::{self, SyncSender, TrySendError};
-use std::sync::{Arc, Mutex, OnceLock, Weak};
+use std::sync::{Arc, Mutex, OnceLock, PoisonError, Weak};
 use std::thread::JoinHandle;
 
 /// Process-global lifecycle counter `popgame_jobs_total{state=...}`,
@@ -201,11 +201,11 @@ pub struct Job {
 impl Job {
     /// Snapshot of the current state.
     pub fn state(&self) -> JobState {
-        self.state.lock().expect("job state lock").clone()
+        self.state.lock().unwrap_or_else(PoisonError::into_inner).clone()
     }
 
     fn set_state(&self, next: JobState) {
-        *self.state.lock().expect("job state lock") = next;
+        *self.state.lock().unwrap_or_else(PoisonError::into_inner) = next;
     }
 }
 
@@ -270,7 +270,7 @@ impl JobStore {
                 let store = Arc::downgrade(&store);
                 std::thread::spawn(move || loop {
                     let job = {
-                        let guard = rx.lock().expect("job queue lock");
+                        let guard = rx.lock().unwrap_or_else(PoisonError::into_inner);
                         guard.recv()
                     };
                     let Ok(job) = job else { break };
@@ -320,17 +320,17 @@ impl JobStore {
                 })
             })
             .collect();
-        *store.workers.lock().expect("workers lock") = handles;
+        *store.workers.lock().unwrap_or_else(PoisonError::into_inner) = handles;
         store
     }
 
     /// Records a finished job and forgets the oldest beyond the cap.
     fn retire_finished(&self, id: u64) {
-        let mut finished = self.finished.lock().expect("finished lock");
+        let mut finished = self.finished.lock().unwrap_or_else(PoisonError::into_inner);
         finished.push_back(id);
         while finished.len() > self.retained {
             if let Some(oldest) = finished.pop_front() {
-                self.jobs.lock().expect("jobs lock").remove(&oldest);
+                self.jobs.lock().unwrap_or_else(PoisonError::into_inner).remove(&oldest);
             }
         }
     }
@@ -354,7 +354,7 @@ impl JobStore {
             trace_id: trace::thread_trace_id(),
             parent_span: trace::current_span_id(),
         });
-        let guard = self.tx.lock().expect("job tx lock");
+        let guard = self.tx.lock().unwrap_or_else(PoisonError::into_inner);
         let Some(tx) = guard.as_ref() else {
             lifecycle_counter("rejected").inc();
             return Err(QueueFull); // shutting down
@@ -363,7 +363,7 @@ impl JobStore {
             Ok(()) => {
                 self.jobs
                     .lock()
-                    .expect("jobs lock")
+                    .unwrap_or_else(PoisonError::into_inner)
                     .insert(id, Arc::clone(&job));
                 lifecycle_counter("submitted").inc();
                 Ok(job)
@@ -377,7 +377,7 @@ impl JobStore {
 
     /// Looks a job up by id.
     pub fn get(&self, id: u64) -> Option<Arc<Job>> {
-        self.jobs.lock().expect("jobs lock").get(&id).cloned()
+        self.jobs.lock().unwrap_or_else(PoisonError::into_inner).get(&id).cloned()
     }
 
     /// Requests cancellation: raises the flag (the executor aborts at the
@@ -394,7 +394,7 @@ impl JobStore {
 
     /// `(queued, running, done, failed, cancelled)` counts.
     pub fn counts(&self) -> (usize, usize, usize, usize, usize) {
-        let jobs = self.jobs.lock().expect("jobs lock");
+        let jobs = self.jobs.lock().unwrap_or_else(PoisonError::into_inner);
         let mut out = (0, 0, 0, 0, 0);
         for job in jobs.values() {
             match job.state() {
@@ -412,15 +412,15 @@ impl JobStore {
     /// join the executors. Idempotent.
     pub fn shutdown(&self) {
         {
-            let jobs = self.jobs.lock().expect("jobs lock");
+            let jobs = self.jobs.lock().unwrap_or_else(PoisonError::into_inner);
             for job in jobs.values() {
                 job.cancel.store(true, Ordering::Relaxed);
             }
         }
         // Dropping the sender ends the worker loops once the queue drains.
-        self.tx.lock().expect("job tx lock").take();
+        self.tx.lock().unwrap_or_else(PoisonError::into_inner).take();
         let handles: Vec<JoinHandle<()>> =
-            self.workers.lock().expect("workers lock").drain(..).collect();
+            self.workers.lock().unwrap_or_else(PoisonError::into_inner).drain(..).collect();
         for handle in handles {
             let _ = handle.join();
         }
@@ -491,6 +491,23 @@ mod tests {
         assert!(store.submit("c".to_string()).is_err(), "queue must be full");
         gate.store(true, Ordering::Relaxed);
         wait_for(|| matches!(store.get(2).unwrap().state(), JobState::Done(_)));
+        store.shutdown();
+    }
+
+    #[test]
+    fn a_poisoned_jobs_lock_still_admits_and_reports_jobs() {
+        let executor: Executor = Arc::new(|c, _f, _p| Ok(Arc::new(c.to_string())));
+        let store = JobStore::new(1, 4, executor);
+        let held = Arc::clone(&store);
+        let poisoner = std::thread::spawn(move || {
+            let _jobs = held.jobs.lock().unwrap_or_else(PoisonError::into_inner);
+            panic!("panic while holding the jobs lock");
+        });
+        assert!(poisoner.join().is_err());
+        assert!(store.jobs.is_poisoned());
+        let job = store.submit("after".to_string()).unwrap();
+        wait_for(|| matches!(store.get(job.id).unwrap().state(), JobState::Done(_)));
+        assert_eq!(store.counts().2, 1);
         store.shutdown();
     }
 
